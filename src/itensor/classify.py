@@ -24,11 +24,11 @@ import numpy as np
 from .tensor import (
     Tensor,
     diag_tail_flat,
-    flat_to_tail,
     gamma_plus,
     is_circulant,
     is_symmetric,
     offdiag_tail_flats,
+    tail1,
     tensor_apply,
     tensor_apply_many,
 )
@@ -128,10 +128,6 @@ def _eq(lhs: float, rhs: float, tol: float) -> bool:
     return abs(lhs - rhs) <= tol
 
 
-def _tail1(A: Tensor, flat: int) -> tuple[int, ...]:
-    return tuple(c + 1 for c in flat_to_tail(flat, A.order, A.dim))
-
-
 def _slack_parts(A: Tensor, i1: int) -> tuple[float, float]:
     """(diag - gamma_plus, sum of (gamma_plus - entry) over off-diagonal)."""
     row = A.row_list(i1)
@@ -164,7 +160,7 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
             mean = s / r
             for f in offdiag_tail_flats(A, i1):
                 if not _gt(mean, row[f], tol):
-                    return _fails(method, i1, "b", mean, row[f], _tail1(A, f))
+                    return _fails(method, i1, "b", mean, row[f], tail1(A, f))
         elif method == "rowsum_gamma":
             s = sum(row)
             g = gamma_plus(A, i1)
@@ -174,7 +170,7 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
                     cond = "b"
                     for f in offdiag_tail_flats(A, i1):
                         if row[f] == g:
-                            tail = _tail1(A, f)
+                            tail = tail1(A, f)
                             break
                 return Verdict(
                     Status.FAILS,
@@ -218,7 +214,7 @@ def check_z(A: Tensor, tol: float = 0.0) -> Verdict:
         row = A.row_list(i1)
         for f in offdiag_tail_flats(A, i1):
             if row[f] > tol:
-                return _fails("offdiag_sign", i1, "a", row[f], 0.0, _tail1(A, f))
+                return _fails("offdiag_sign", i1, "a", row[f], 0.0, tail1(A, f))
     return Verdict(Status.HOLDS, "offdiag_sign")
 
 

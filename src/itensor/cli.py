@@ -4,12 +4,10 @@ Verbs: ``check`` (run one class criterion on a tensor or interval file),
 ``classify`` (the double-B dichotomy), ``generate`` (write a random
 instance), and ``cross-validate`` (run the oracle suite).  Exit codes:
 0 the property holds, 1 it fails, 2 the criterion is inconclusive,
-3 usage or parse error.  The JSON report goes to stdout (or ``--output``)
-and is byte-identical across identical invocations; a human summary goes
-to stderr.  Floats are printed as decimal doubles with 17 significant
-digits.  The ITENSOR_THREADS environment variable caps the worker count
-(execution is single-threaded, which respects any cap) and is recorded
-for replay.
+3 usage or parse error, or an input too large for memory.  The JSON
+report goes to stdout (or ``--output``) and is byte-identical across
+identical invocations; a human summary goes to stderr.  Floats are
+printed as decimal doubles with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -42,6 +39,8 @@ from .interval import (
 )
 from .interval_classify import (
     INTERVAL_B_METHODS,
+    Ledger,
+    LedgerDicts,
     check_interval_b,
     check_interval_circulant,
     check_interval_double_b,
@@ -50,7 +49,7 @@ from .interval_classify import (
     interval_verdict_report,
 )
 from .oracle import GeneratorSpec, equivalence_suite, random_interval_tensor
-from .tensor import tensor_from_json
+from .tensor import tail1, tensor_from_json
 
 POINT_CLASSES = ("b", "double-b", "z", "sdd", "circulant-b", "p-sufficient", "p-falsify")
 INTERVAL_CLASSES = (
@@ -69,44 +68,92 @@ class UsageError(Exception):
     pass
 
 
-def _format_float(v: float) -> str:
-    s = format(v, ".17g")
-    # Keep the token a JSON number even for integral values.
-    return s
+def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
+    """One JSON object per record, written straight from the ledger's
+    columns with one template per block."""
+    p1, p2, p3 = (" " * (indent * d) for d in (depth, depth + 1, depth + 2))
+    r = ledger.dim ** (ledger.order - 1)
+    tails = [
+        "[\n" + ",\n".join(f"{p3}{c}" for c in tail1(ledger, f)) + f"\n{p2}]"
+        for f in range(r)
+    ]
+    one_row = [f"[\n{p3}{i + 1}\n{p2}]" for i in range(ledger.dim)]
+    two_rows = [
+        [f"[\n{p3}{i + 1},\n{p3}{j + 1}\n{p2}]" for j in range(ledger.dim)]
+        for i in range(ledger.dim)
+    ]
+    lines = []
+    for b in ledger.blocks:
+        if b.pair_rows is None:
+            cols = [[one_row[i] for i in b.rows]]
+        else:
+            cols = [[two_rows[i][j] for i, j in zip(b.rows, b.pair_rows)]]
+        lhs, rhs, passed = b.values()
+        cols += [lhs, rhs, ["true" if ok else "false" for ok in passed]]
+        tmpl = (
+            f'{p1}{{\n{p2}"id": {json.dumps(b.condition)},\n{p2}"rows": %s,\n'
+            f'{p2}"lhs": %.17g,\n{p2}"rhs": %.17g,\n{p2}"passed": %s'
+        )
+        if b.tails is not None:
+            cols.append([tails[f] for f in b.tails])
+            tmpl += f',\n{p2}"tail": %s'
+        if b.pair_tails is not None:
+            cols.append([tails[f] for f in b.pair_tails])
+            tmpl += f',\n{p2}"pair_tail": %s'
+        tmpl += f"\n{p1}}}"
+        lines += [tmpl % fields for fields in zip(*cols)]
+    return lines
 
 
 def dumps_report(obj, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits.
 
-    def emit(x, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+    Pieces are appended to one list and joined once; a condition ledger
+    (``LedgerDicts``) is written from its columns without building dicts.
+    """
+    out: list[str] = []
+
+    def emit(x, depth: int) -> None:
         if x is None:
-            return "null"
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        if isinstance(x, int):
-            return str(x)
-        if isinstance(x, float):
-            return _format_float(x)
-        if isinstance(x, str):
-            return json.dumps(x)
-        if isinstance(x, dict):
+            out.append("null")
+        elif isinstance(x, bool):
+            out.append("true" if x else "false")
+        elif isinstance(x, int):
+            out.append(str(x))
+        elif isinstance(x, float):
+            out.append(format(x, ".17g"))
+        elif isinstance(x, str):
+            out.append(json.dumps(x))
+        elif isinstance(x, dict):
             if not x:
-                return "{}"
-            items = [
-                f"{pad_in}{json.dumps(str(k))}: {emit(v, depth + 1)}"
-                for k, v in x.items()
-            ]
-            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-        if isinstance(x, (list, tuple)):
+                out.append("{}")
+                return
+            pad_in = " " * (indent * (depth + 1))
+            sep = "{\n"
+            for k, v in x.items():
+                out.append(f"{sep}{pad_in}{json.dumps(str(k))}: ")
+                emit(v, depth + 1)
+                sep = ",\n"
+            out.append("\n" + " " * (indent * depth) + "}")
+        elif isinstance(x, (list, tuple, LedgerDicts)):
             if not x:
-                return "[]"
-            items = [f"{pad_in}{emit(v, depth + 1)}" for v in x]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        raise TypeError(f"cannot serialize {type(x).__name__}")
+                out.append("[]")
+                return
+            pad_in = " " * (indent * (depth + 1))
+            out.append("[\n")
+            if isinstance(x, LedgerDicts):
+                out.append(",\n".join(_ledger_lines(x.ledger, depth + 1, indent)))
+            else:
+                for k, v in enumerate(x):
+                    out.append(",\n" + pad_in if k else pad_in)
+                    emit(v, depth + 1)
+            out.append("\n" + " " * (indent * depth) + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(x).__name__}")
 
-    return emit(obj, 0) + "\n"
+    emit(obj, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def _load_input(path: str):
@@ -283,19 +330,6 @@ def _run_classify(args):
     return report, status, digest, f"kind {d.kind}"
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("ITENSOR_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        raise UsageError(f"ITENSOR_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise UsageError("ITENSOR_THREADS must be >= 1")
-    return val
-
-
 def _emit(args, envelope: dict, summary: str) -> None:
     text = dumps_report(envelope) if args.format == "json" else summary + "\n"
     if args.output:
@@ -359,15 +393,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "epsilon", 0.0) < 0.0:
             raise UsageError("--epsilon must be >= 0")
-        threads = _threads()
         envelope = {
             "tool": "itensor",
             "version": __version__,
             "verb": args.verb,
             "epsilon": getattr(args, "epsilon", 0.0),
         }
-        if threads is not None:
-            envelope["threads"] = threads
 
         if args.verb == "check":
             report, status, digest, summary = _run_check(args)
@@ -423,6 +454,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "is_interval_z",
     "is_symmetric_interval",
     "argmax_upper_offdiag",
-    "argmax_lower_offdiag",
     "extreme_prime",
     "extreme_single_raise",
     "extreme_double_raise",
@@ -176,18 +175,6 @@ def argmax_upper_offdiag(AI: IntervalTensor, i1: int) -> int | None:
     if not flats:
         return None
     row = AI.upper.row_list(i1)
-    best = flats[0]
-    for f in flats[1:]:
-        if row[f] > row[best]:
-            best = f
-    return best
-
-
-def argmax_lower_offdiag(AI: IntervalTensor, i1: int) -> int | None:
-    flats = offdiag_tail_flats(AI.lower, i1)
-    if not flats:
-        return None
-    row = AI.lower.row_list(i1)
     best = flats[0]
     for f in flats[1:]:
         if row[f] > row[best]:

@@ -11,13 +11,25 @@ exact tests from both sides, and the dichotomy separates the strict
 interval-B case from the unique critical row.
 
 Verdicts carry the full ledger of evaluated conditions so a reported status
-can be recomputed from the inputs.  Rows and trailing indices in records
-and witnesses are 1-based.
+can be recomputed from the inputs.  A :class:`Ledger` is a sequence of
+:class:`ConditionRecord` stored as columns, one block per run of a
+condition id, and builds each record only when it is read; the double-B
+test fills its blocks as numpy arrays, the other criteria from Python
+lists.  ``interval_verdict_report(...)["conditions"]`` is likewise a lazy
+sequence of dicts, not a list.  Rows and trailing indices in records and
+witnesses are 1-based.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .classify import (
     Status,
@@ -36,10 +48,13 @@ from .interval import (
     is_interval_z,
     is_symmetric_interval,
 )
-from .tensor import diag_tail_flat, flat_to_tail, is_circulant, offdiag_tail_flats
+from .tensor import diag_tail_flat, is_circulant, offdiag_tail_flats, tail1
 
 __all__ = [
     "ConditionRecord",
+    "LedgerBlock",
+    "Ledger",
+    "LedgerDicts",
     "IntervalVerdict",
     "IntervalDichotomy",
     "NecessaryReport",
@@ -74,12 +89,205 @@ class ConditionRecord:
     pair_tail: tuple[int, ...] | None = None
 
 
+class LedgerBlock(NamedTuple):
+    """A run of records sharing one condition id, stored as columns.
+
+    ``rows``/``pair_rows`` hold 0-based row indices and ``tails``/
+    ``pair_tails`` flat offsets inside a row; records convert both to the
+    1-based form.  Columns are lists or numpy arrays of one length; an
+    optional column is None when the condition binds one row or no position.
+    """
+
+    condition: str
+    rows: Sequence[int]
+    lhs: Sequence[float]
+    rhs: Sequence[float]
+    passed: Sequence[bool]
+    pair_rows: Sequence[int] | None = None
+    tails: Sequence[int] | None = None
+    pair_tails: Sequence[int] | None = None
+
+    def values(self) -> tuple[list, list, list]:
+        """The lhs, rhs and passed columns as lists of Python scalars."""
+        return tuple(
+            c.tolist() if isinstance(c, np.ndarray) else c
+            for c in (self.lhs, self.rhs, self.passed)
+        )
+
+
+def _value(col, k: int):
+    v = col[k]
+    return v.item() if isinstance(v, np.generic) else v
+
+
+class Ledger(Sequence):
+    """The records of one criterion in evaluation order, built on access."""
+
+    __slots__ = ("blocks", "order", "dim", "_ends")
+
+    def __init__(self, blocks: Sequence[LedgerBlock], order: int, dim: int):
+        self.blocks = tuple(blocks)
+        self.order = order
+        self.dim = dim
+        self._ends: list[int] = []
+        total = 0
+        for b in self.blocks:
+            total += len(b.lhs)
+            self._ends.append(total)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        size = len(self)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("ledger index out of range")
+        b = bisect_right(self._ends, k)
+        return self._record(self.blocks[b], k - (self._ends[b - 1] if b else 0))
+
+    def __iter__(self):
+        for b in self.blocks:
+            size = len(b.lhs)
+            if b.pair_rows is None:
+                rows = [(i + 1,) for i in b.rows]
+            else:
+                rows = [(i + 1, j + 1) for i, j in zip(b.rows, b.pair_rows)]
+            tail = (
+                repeat(None, size)
+                if b.tails is None
+                else [tail1(self, f) for f in b.tails]
+            )
+            pair_tail = (
+                repeat(None, size)
+                if b.pair_tails is None
+                else [tail1(self, f) for f in b.pair_tails]
+            )
+            for fields in zip(rows, *b.values(), tail, pair_tail):
+                yield ConditionRecord(b.condition, *fields)
+
+    def __eq__(self, other):
+        if isinstance(other, (Ledger, tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def _record(self, b: LedgerBlock, k: int) -> ConditionRecord:
+        rows = (b.rows[k] + 1,)
+        if b.pair_rows is not None:
+            rows += (b.pair_rows[k] + 1,)
+        return ConditionRecord(
+            b.condition,
+            rows,
+            _value(b.lhs, k),
+            _value(b.rhs, k),
+            _value(b.passed, k),
+            None if b.tails is None else tail1(self, b.tails[k]),
+            None if b.pair_tails is None else tail1(self, b.pair_tails[k]),
+        )
+
+    def first_failure(self) -> ConditionRecord | None:
+        """The first record whose inequality failed, in ledger order."""
+        for b in self.blocks:
+            if isinstance(b.passed, np.ndarray):
+                if not b.passed.all():
+                    return self._record(b, int(b.passed.argmin()))
+            elif False in b.passed:
+                return self._record(b, b.passed.index(False))
+        return None
+
+
+def _record_dict(rec: ConditionRecord) -> dict:
+    out = {
+        "id": rec.condition,
+        "rows": list(rec.rows),
+        "lhs": rec.lhs,
+        "rhs": rec.rhs,
+        "passed": rec.passed,
+    }
+    if rec.tail is not None:
+        out["tail"] = list(rec.tail)
+    if rec.pair_tail is not None:
+        out["pair_tail"] = list(rec.pair_tail)
+    return out
+
+
+class LedgerDicts(Sequence):
+    """Report form of a ledger: each record as a dict, built on access.
+
+    The CLI's report writer does not build these dicts; it writes the
+    ledger's columns directly, to the same bytes.
+    """
+
+    __slots__ = ("ledger",)
+
+    def __init__(self, ledger: Ledger):
+        self.ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self.ledger)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [_record_dict(rec) for rec in self.ledger[k]]
+        return _record_dict(self.ledger[k])
+
+    def __iter__(self):
+        return map(_record_dict, self.ledger)
+
+
+class _LedgerBuilder:
+    """Fills a ledger one record at a time from Python values.
+
+    A new block opens whenever the condition id, or which of the optional
+    columns it uses, changes from the previous record.
+    """
+
+    def __init__(self, AI: IntervalTensor):
+        self.AI = AI
+        self.blocks: list[LedgerBlock] = []
+        self._key = None
+
+    def add(self, condition, row, lhs, rhs, passed, tail=None, pair_row=None,
+            pair_tail=None) -> None:
+        key = (condition, pair_row is None, tail is None, pair_tail is None)
+        if key != self._key:
+            self._key = key
+            self.blocks.append(
+                LedgerBlock(
+                    condition, [], [], [], [],
+                    None if pair_row is None else [],
+                    None if tail is None else [],
+                    None if pair_tail is None else [],
+                )
+            )
+        b = self.blocks[-1]
+        b.rows.append(row)
+        b.lhs.append(lhs)
+        b.rhs.append(rhs)
+        b.passed.append(passed)
+        if pair_row is not None:
+            b.pair_rows.append(pair_row)
+        if tail is not None:
+            b.tails.append(tail)
+        if pair_tail is not None:
+            b.pair_tails.append(pair_tail)
+
+    def ledger(self) -> Ledger:
+        return Ledger(self.blocks, self.AI.order, self.AI.dim)
+
+
 @dataclass(frozen=True)
 class IntervalVerdict:
     status: Status
     method: str
     witness: Witness | None = None
-    conditions: tuple[ConditionRecord, ...] = ()
+    conditions: Ledger | tuple = ()
 
     def holds(self) -> bool:
         return self.status is Status.HOLDS
@@ -103,12 +311,8 @@ class NecessaryReport:
 
     variant: str
     passed: bool
-    records: tuple[ConditionRecord, ...] = ()
+    records: Ledger | tuple = ()
     member_verdicts: tuple[tuple[str, Verdict], ...] = ()
-
-
-def _tail1(AI: IntervalTensor, flat: int) -> tuple[int, ...]:
-    return tuple(c + 1 for c in flat_to_tail(flat, AI.order, AI.dim))
 
 
 def _excl_sum(u_val: float, lrow: list[float], od: tuple[int, ...], skip: int) -> float:
@@ -148,23 +352,20 @@ class _Rows:
         return None if k is None else self.urow[i1][k]
 
 
-def _verdict(method: str, records: list[ConditionRecord]) -> IntervalVerdict:
-    witness = None
-    status = Status.HOLDS
-    for rec in records:
-        if not rec.passed:
-            status = Status.FAILS
-            witness = Witness(
-                rec.rows[0],
-                rec.condition,
-                rec.lhs,
-                rec.rhs,
-                rec.tail,
-                rec.rows[1] if len(rec.rows) > 1 else None,
-                rec.pair_tail,
-            )
-            break
-    return IntervalVerdict(status, method, witness, tuple(records))
+def _verdict(method: str, ledger: Ledger) -> IntervalVerdict:
+    rec = ledger.first_failure()
+    if rec is None:
+        return IntervalVerdict(Status.HOLDS, method, None, ledger)
+    witness = Witness(
+        rec.rows[0],
+        rec.condition,
+        rec.lhs,
+        rec.rhs,
+        rec.tail,
+        rec.rows[1] if len(rec.rows) > 1 else None,
+        rec.pair_tail,
+    )
+    return IntervalVerdict(Status.FAILS, method, witness, ledger)
 
 
 def check_interval_b(
@@ -182,12 +383,12 @@ def check_interval_b(
         raise ValueError(f"unknown interval B method {method!r}")
     rows = _Rows(AI)
     n, r = AI.dim, AI.row_len
-    recs: list[ConditionRecord] = []
+    led = _LedgerBuilder(AI)
 
     if method == "theorem":
         for i1 in range(n):
             s = rows.lrow_total(i1)
-            recs.append(ConditionRecord("a", (i1 + 1,), s, 0.0, _gt(s, 0.0, tol)))
+            led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
         for i1 in range(n):
             lrow, urow = rows.lrow[i1], rows.urow[i1]
             for j in rows.od[i1]:
@@ -196,28 +397,20 @@ def check_interval_b(
                     if t != j:
                         lhs += lrow[t]
                 rhs = (r - 1) * urow[j]
-                recs.append(
-                    ConditionRecord(
-                        "b", (i1 + 1,), lhs, rhs, _gt(lhs, rhs, tol), _tail1(AI, j)
-                    )
-                )
+                led.add("b", i1, lhs, rhs, _gt(lhs, rhs, tol), j)
     elif method == "compact":
         for i1 in range(n):
             s = rows.lrow_total(i1)
             if not rows.od[i1]:
-                recs.append(ConditionRecord("a", (i1 + 1,), s, 0.0, _gt(s, 0.0, tol)))
+                led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
                 continue
             for j in rows.od[i1]:
                 rhs = max(0.0, (r - 1) * rows.urow[i1][j] + rows.lrow[i1][j])
-                recs.append(
-                    ConditionRecord(
-                        "b", (i1 + 1,), s, rhs, _gt(s, rhs, tol), _tail1(AI, j)
-                    )
-                )
+                led.add("b", i1, s, rhs, _gt(s, rhs, tol), j)
     elif method == "slack":
         for i1 in range(n):
             s = rows.lrow_total(i1)
-            recs.append(ConditionRecord("a", (i1 + 1,), s, 0.0, _gt(s, 0.0, tol)))
+            led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
         for i1 in range(n):
             lrow, urow = rows.lrow[i1], rows.urow[i1]
             for j in rows.od[i1]:
@@ -225,25 +418,17 @@ def check_interval_b(
                 rhs = 0.0
                 for t in rows.od[i1]:
                     rhs += urow[j] - lrow[t]
-                recs.append(
-                    ConditionRecord(
-                        "b", (i1 + 1,), lhs, rhs, _gt(lhs, rhs, tol), _tail1(AI, j)
-                    )
-                )
+                led.add("b", i1, lhs, rhs, _gt(lhs, rhs, tol), j)
     else:  # pairwise
         for i1 in range(n):
             s = rows.lrow_total(i1)
-            recs.append(ConditionRecord("a", (i1 + 1,), s, 0.0, _gt(s, 0.0, tol)))
+            led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
         for i1 in range(n):
             for j in rows.od[i1]:
                 lhs = rows.ldiag[i1] - rows.urow[i1][j]
                 rhs = rows.excl(i1, j)
-                recs.append(
-                    ConditionRecord(
-                        "b", (i1 + 1,), lhs, rhs, _gt(lhs, rhs, tol), _tail1(AI, j)
-                    )
-                )
-    return _verdict(f"interval_b_{method}", recs)
+                led.add("b", i1, lhs, rhs, _gt(lhs, rhs, tol), j)
+    return _verdict(f"interval_b_{method}", led.ledger())
 
 
 def check_interval_b_zfast(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
@@ -252,11 +437,11 @@ def check_interval_b_zfast(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerd
     if not is_interval_z(AI):
         raise ValueError("interval is not an interval Z tensor")
     rows = _Rows(AI)
-    recs = []
+    led = _LedgerBuilder(AI)
     for i1 in range(AI.dim):
         s = rows.lrow_total(i1)
-        recs.append(ConditionRecord("a", (i1 + 1,), s, 0.0, _gt(s, 0.0, tol)))
-    return _verdict("interval_b_zfast", recs)
+        led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
+    return _verdict("interval_b_zfast", led.ledger())
 
 
 def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryReport:
@@ -268,42 +453,82 @@ def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryRepor
     (id r).  Any failure certifies the family is not interval B.
     """
     rows = _Rows(AI)
-    recs: list[ConditionRecord] = []
+    led = _LedgerBuilder(AI)
     for i1 in range(AI.dim):
         lrow = rows.lrow[i1]
         neg = 0.0
         for t in rows.od[i1]:
             if lrow[t] < 0.0:
                 neg += -lrow[t]
-        recs.append(
-            ConditionRecord(
-                "a", (i1 + 1,), rows.ldiag[i1], neg, _gt(rows.ldiag[i1], neg, tol)
-            )
-        )
+        led.add("a", i1, rows.ldiag[i1], neg, _gt(rows.ldiag[i1], neg, tol))
     for i1 in range(AI.dim):
         for t in rows.od[i1]:
             rhs = max(abs(rows.urow[i1][t]), abs(rows.lrow[i1][t]))
-            recs.append(
-                ConditionRecord(
-                    "b",
-                    (i1 + 1,),
-                    rows.ldiag[i1],
-                    rhs,
-                    _gt(rows.ldiag[i1], rhs, tol),
-                    _tail1(AI, t),
-                )
-            )
+            led.add("b", i1, rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol), t)
     for i1 in range(AI.dim):
         m = rows.max_upper_od(i1)
         rhs = max(0.0, m) if m is not None else 0.0
-        recs.append(
-            ConditionRecord(
-                "r", (i1 + 1,), rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol)
-            )
-        )
+        led.add("r", i1, rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol))
+    ledger = led.ledger()
     return NecessaryReport(
-        "interval_b_necessary", all(rec.passed for rec in recs), tuple(recs)
+        "interval_b_necessary", ledger.first_failure() is None, ledger
     )
+
+
+class _DoubleBLayout(NamedTuple):
+    """Index arrays and per-block index columns of the double-B ledger for
+    one (order, dim); columns are tuples of 0-based rows and flat tails."""
+
+    diag: np.ndarray  # (n,) position of each row's diagonal in the entries
+    od: np.ndarray  # (n, q) positions of each row's off-diagonals, ascending
+    own: np.ndarray  # arange(q)
+    iu: np.ndarray  # row pairs i < j, lexicographic
+    ju: np.ndarray
+    ii: np.ndarray  # ordered row pairs i != j, lexicographic
+    jj: np.ndarray
+    rows: tuple  # a, b2
+    b1: tuple  # (rows, tails)
+    c1: tuple  # (rows, pair_rows, tails, pair_tails)
+    c2: tuple  # (rows, pair_rows, tails)
+    c3: tuple  # (rows, pair_rows)
+
+
+@lru_cache(maxsize=32)
+def _double_b_layout(order: int, dim: int) -> _DoubleBLayout:
+    n, r = dim, dim ** (order - 1)
+    q = r - 1
+    row_ids = np.arange(n)
+    diag = np.array([diag_tail_flat(i, order, n) for i in range(n)], dtype=np.intp)
+    od = np.array(
+        [np.delete(np.arange(r), diag[i]) for i in range(n)], dtype=np.intp
+    ).reshape(n, q)
+    base = row_ids[:, None] * r
+    iu, ju = np.triu_indices(n, 1)
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    pairs = len(iu)
+
+    def col(a) -> tuple:
+        return tuple(np.asarray(a).ravel().tolist())
+
+    return _DoubleBLayout(
+        base[:, 0] + diag, base + od, np.arange(q), iu, ju, ii, jj,
+        rows=col(row_ids),
+        b1=(col(np.repeat(row_ids, q)), col(od)),
+        c1=(
+            col(np.repeat(iu, q * q)),
+            col(np.repeat(ju, q * q)),
+            col(np.broadcast_to(od[iu][:, :, None], (pairs, q, q))),
+            col(np.broadcast_to(od[ju][:, None, :], (pairs, q, q))),
+        ),
+        c2=(col(np.repeat(ii, q)), col(np.repeat(jj, q)), col(od[ii])),
+        c3=(col(iu), col(ju)),
+    )
+
+
+def _pos(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) as Python evaluates it: +0.0 unless x > 0, so a -0.0
+    reads +0.0 (np.maximum would keep the -0.0)."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
@@ -327,97 +552,57 @@ def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> IntervalVer
 
     The witness is the lexicographically first failure in the order
     a, b1, b2, c1, c2, c3, then rows, then tail offsets.
+
+    Each condition is one block of array columns.  Every value is the same
+    double the scalar definition gives: differences and products are
+    elementwise, and sums run from +0.0 in ascending offset order.
     """
-    rows = _Rows(AI)
-    n = AI.dim
-    recs: list[ConditionRecord] = []
+    lay = _double_b_layout(AI.order, AI.dim)
+    n, q = lay.od.shape
+    ldiag = AI.lower.entries[lay.diag]
+    lod = AI.lower.entries[lay.od]
+    uod = AI.upper.entries[lay.od]
 
-    for i1 in range(n):
-        m = rows.max_upper_od(i1)
-        rhs = max(0.0, m) if m is not None else 0.0
-        recs.append(
-            ConditionRecord(
-                "a", (i1 + 1,), rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol)
-            )
-        )
+    a_rhs = _pos(uod.max(axis=1, initial=0.0))
+    gap = ldiag[:, None] - uod
+    # terms[i, k, t] = u[i, k] - l[i, t]; position k skips itself, and
+    # adding +0.0 leaves a sum that starts from +0.0 unchanged.
+    terms = uod[:, :, None] - lod[:, None, :]
+    terms[:, lay.own, lay.own] = 0.0
+    slack = np.zeros((n, q))
+    lsum = np.zeros(n)
+    for t in range(q):
+        slack += terms[:, :, t]
+        lsum += lod[:, t]
+    b1_rhs = _pos(slack)
+    negsum = _pos(-lsum)
 
-    # b1 left sides and slack sums are reused by c1/c2 below.
-    gap: list[dict[int, float]] = [dict() for _ in range(n)]
-    slack: list[dict[int, float]] = [dict() for _ in range(n)]
-    for i1 in range(n):
-        for j in rows.od[i1]:
-            gap[i1][j] = rows.ldiag[i1] - rows.urow[i1][j]
-            slack[i1][j] = rows.excl(i1, j)
-            rhs = max(0.0, slack[i1][j])
-            recs.append(
-                ConditionRecord(
-                    "b1",
-                    (i1 + 1,),
-                    gap[i1][j],
-                    rhs,
-                    _ge(gap[i1][j], rhs, tol),
-                    _tail1(AI, j),
-                )
-            )
+    iu, ju, ii, jj = lay.iu, lay.ju, lay.ii, lay.jj
+    c1_lhs = (gap[iu][:, :, None] * gap[ju][:, None, :]).ravel()
+    c1_rhs = (b1_rhs[iu][:, :, None] * b1_rhs[ju][:, None, :]).ravel()
+    c2_lhs = (gap[ii] * ldiag[jj][:, None]).ravel()
+    c2_rhs = (b1_rhs[ii] * negsum[jj][:, None]).ravel()
+    c3_lhs = ldiag[iu] * ldiag[ju]
+    c3_rhs = negsum[iu] * negsum[ju]
+    gap, b1_rhs = gap.ravel(), b1_rhs.ravel()
 
-    negsum = [max(0.0, -rows.lsum_od[i1]) for i1 in range(n)]
-    for i1 in range(n):
-        recs.append(
-            ConditionRecord(
-                "b2",
-                (i1 + 1,),
-                rows.ldiag[i1],
-                negsum[i1],
-                _ge(rows.ldiag[i1], negsum[i1], tol),
-            )
-        )
-
-    for i1 in range(n):
-        for j1 in range(i1 + 1, n):
-            for ti in rows.od[i1]:
-                for tj in rows.od[j1]:
-                    lhs = gap[i1][ti] * gap[j1][tj]
-                    rhs = max(0.0, slack[i1][ti]) * max(0.0, slack[j1][tj])
-                    recs.append(
-                        ConditionRecord(
-                            "c1",
-                            (i1 + 1, j1 + 1),
-                            lhs,
-                            rhs,
-                            _gt(lhs, rhs, tol),
-                            _tail1(AI, ti),
-                            _tail1(AI, tj),
-                        )
-                    )
-
-    for i1 in range(n):
-        for j1 in range(n):
-            if j1 == i1:
-                continue
-            for ti in rows.od[i1]:
-                lhs = gap[i1][ti] * rows.ldiag[j1]
-                rhs = max(0.0, slack[i1][ti]) * negsum[j1]
-                recs.append(
-                    ConditionRecord(
-                        "c2",
-                        (i1 + 1, j1 + 1),
-                        lhs,
-                        rhs,
-                        _gt(lhs, rhs, tol),
-                        _tail1(AI, ti),
-                    )
-                )
-
-    for i1 in range(n):
-        for j1 in range(i1 + 1, n):
-            lhs = rows.ldiag[i1] * rows.ldiag[j1]
-            rhs = negsum[i1] * negsum[j1]
-            recs.append(
-                ConditionRecord(
-                    "c3", (i1 + 1, j1 + 1), lhs, rhs, _gt(lhs, rhs, tol)
-                )
-            )
-    return _verdict("interval_double_b", recs)
+    b1_rows, b1_tails = lay.b1
+    c1_rows, c1_pairs, c1_tails, c1_pair_tails = lay.c1
+    c2_rows, c2_pairs, c2_tails = lay.c2
+    c3_rows, c3_pairs = lay.c3
+    blocks = (
+        LedgerBlock("a", lay.rows, ldiag, a_rhs, ldiag > a_rhs - tol),
+        LedgerBlock("b1", b1_rows, gap, b1_rhs, gap >= b1_rhs - tol,
+                    tails=b1_tails),
+        LedgerBlock("b2", lay.rows, ldiag, negsum, ldiag >= negsum - tol),
+        LedgerBlock("c1", c1_rows, c1_lhs, c1_rhs, c1_lhs > c1_rhs - tol,
+                    c1_pairs, c1_tails, c1_pair_tails),
+        LedgerBlock("c2", c2_rows, c2_lhs, c2_rhs, c2_lhs > c2_rhs - tol,
+                    c2_pairs, c2_tails),
+        LedgerBlock("c3", c3_rows, c3_lhs, c3_rhs, c3_lhs > c3_rhs - tol,
+                    c3_pairs),
+    )
+    return _verdict("interval_double_b", Ledger(blocks, AI.order, AI.dim))
 
 
 def classify_interval_double_b_dichotomy(
@@ -458,7 +643,7 @@ def classify_interval_double_b_dichotomy(
         "critical_row",
         i1 + 1,
         mode,
-        None if j is None else _tail1(AI, j),
+        None if j is None else tail1(AI, j),
     )
 
 
@@ -489,7 +674,7 @@ def interval_double_b_necessary(
 
     rows = _Rows(AI)
     n = AI.dim
-    recs: list[ConditionRecord] = []
+    led = _LedgerBuilder(AI)
     arg = [argmax_upper_offdiag(AI, i1) for i1 in range(n)]
     maxu = [None if arg[i1] is None else rows.urow[i1][arg[i1]] for i1 in range(n)]
     # Rows without off-diagonal positions behave like the nonpositive branch.
@@ -497,77 +682,34 @@ def interval_double_b_necessary(
 
     for i1 in range(n):
         rhs = max(0.0, maxu[i1]) if maxu[i1] is not None else 0.0
-        recs.append(
-            ConditionRecord(
-                "a", (i1 + 1,), rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol)
-            )
-        )
+        led.add("a", i1, rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol))
     for i1 in range(n):
         if positive[i1]:
             lhs = rows.ldiag[i1] - maxu[i1]
             rhs = rows.excl(i1, arg[i1])
-            recs.append(
-                ConditionRecord(
-                    "b1",
-                    (i1 + 1,),
-                    lhs,
-                    rhs,
-                    _ge(lhs, rhs, tol),
-                    _tail1(AI, arg[i1]),
-                )
-            )
+            led.add("b1", i1, lhs, rhs, _ge(lhs, rhs, tol), arg[i1])
         else:
             rhs = -rows.lsum_od[i1]
-            recs.append(
-                ConditionRecord(
-                    "b2",
-                    (i1 + 1,),
-                    rows.ldiag[i1],
-                    rhs,
-                    _ge(rows.ldiag[i1], rhs, tol),
-                )
-            )
+            led.add("b2", i1, rows.ldiag[i1], rhs, _ge(rows.ldiag[i1], rhs, tol))
     for i1 in range(n):
         for j1 in range(i1 + 1, n):
             if positive[i1] and positive[j1]:
                 lhs = (rows.ldiag[i1] - maxu[i1]) * (rows.ldiag[j1] - maxu[j1])
                 rhs = rows.excl(i1, arg[i1]) * rows.excl(j1, arg[j1])
-                recs.append(
-                    ConditionRecord(
-                        "c1",
-                        (i1 + 1, j1 + 1),
-                        lhs,
-                        rhs,
-                        _gt(lhs, rhs, tol),
-                        _tail1(AI, arg[i1]),
-                        _tail1(AI, arg[j1]),
-                    )
-                )
+                led.add("c1", i1, lhs, rhs, _gt(lhs, rhs, tol), arg[i1], j1, arg[j1])
             elif not positive[i1] and not positive[j1]:
                 lhs = rows.ldiag[i1] * rows.ldiag[j1]
                 rhs = (-rows.lsum_od[i1]) * (-rows.lsum_od[j1])
-                recs.append(
-                    ConditionRecord(
-                        "c3", (i1 + 1, j1 + 1), lhs, rhs, _gt(lhs, rhs, tol)
-                    )
-                )
+                led.add("c3", i1, lhs, rhs, _gt(lhs, rhs, tol), pair_row=j1)
     for i1 in range(n):
         for j1 in range(n):
             if j1 == i1 or not positive[i1] or positive[j1]:
                 continue
             lhs = (rows.ldiag[i1] - maxu[i1]) * rows.ldiag[j1]
             rhs = rows.excl(i1, arg[i1]) * (-rows.lsum_od[j1])
-            recs.append(
-                ConditionRecord(
-                    "c2",
-                    (i1 + 1, j1 + 1),
-                    lhs,
-                    rhs,
-                    _gt(lhs, rhs, tol),
-                    _tail1(AI, arg[i1]),
-                )
-            )
-    return NecessaryReport("rowmax", all(r.passed for r in recs), tuple(recs))
+            led.add("c2", i1, lhs, rhs, _gt(lhs, rhs, tol), arg[i1], j1)
+    ledger = led.ledger()
+    return NecessaryReport("rowmax", ledger.first_failure() is None, ledger)
 
 
 def check_interval_double_b_dominance(
@@ -600,7 +742,7 @@ def check_interval_double_b_dominance(
             return IntervalVerdict(
                 Status.INCONCLUSIVE,
                 method,
-                Witness(i1 + 1, "hypothesis", lrow[best], block, _tail1(AI, best)),
+                Witness(i1 + 1, "hypothesis", lrow[best], block, tail1(AI, best)),
             )
     report = interval_double_b_necessary(AI, "extremes", tol=tol)
     if report.passed:
@@ -660,22 +802,14 @@ def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> IntervalVe
     if not (is_circulant(AI.lower) and is_circulant(AI.upper)):
         raise ValueError("interval bounds are not circulant")
     rows = _Rows(AI)
-    recs = [
-        ConditionRecord(
-            "c1",
-            (1,),
-            rows.ldiag[0],
-            -rows.lsum_od[0],
-            _gt(rows.ldiag[0], -rows.lsum_od[0], tol),
-        )
-    ]
+    led = _LedgerBuilder(AI)
+    rhs = -rows.lsum_od[0]
+    led.add("c1", 0, rows.ldiag[0], rhs, _gt(rows.ldiag[0], rhs, tol))
     for j in rows.od[0]:
         lhs = rows.ldiag[0] - rows.urow[0][j]
         rhs = rows.excl(0, j)
-        recs.append(
-            ConditionRecord("c2", (1,), lhs, rhs, _gt(lhs, rhs, tol), _tail1(AI, j))
-        )
-    return _verdict("interval_circulant", recs)
+        led.add("c2", 0, lhs, rhs, _gt(lhs, rhs, tol), j)
+    return _verdict("interval_circulant", led.ledger())
 
 
 def interval_p_sufficient(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
@@ -700,7 +834,8 @@ def interval_p_sufficient(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdi
 
 
 def interval_verdict_report(v: IntervalVerdict, class_id: str) -> dict:
-    """Serializable report form, including the condition ledger."""
+    """Serializable report form, including the condition ledger as a lazy
+    sequence of dicts."""
     out = {"class": class_id, "method": v.method, "status": v.status.value}
     if v.witness is not None:
         w = v.witness
@@ -713,20 +848,5 @@ def interval_verdict_report(v: IntervalVerdict, class_id: str) -> dict:
             wd["pair_index"] = list(w.pair_tail)
         out["witness"] = wd
     if v.conditions:
-        out["conditions"] = [
-            {
-                "id": rec.condition,
-                "rows": list(rec.rows),
-                "lhs": rec.lhs,
-                "rhs": rec.rhs,
-                "passed": rec.passed,
-                **({"tail": list(rec.tail)} if rec.tail is not None else {}),
-                **(
-                    {"pair_tail": list(rec.pair_tail)}
-                    if rec.pair_tail is not None
-                    else {}
-                ),
-            }
-            for rec in v.conditions
-        ]
+        out["conditions"] = LedgerDicts(v.conditions)
     return out

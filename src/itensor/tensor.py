@@ -26,6 +26,7 @@ __all__ = [
     "tail_tuples",
     "tail_to_flat",
     "flat_to_tail",
+    "tail1",
     "diag_tail_flat",
     "offdiag_tail_flats",
     "row_view",
@@ -160,6 +161,17 @@ def tail_to_flat(tail: Sequence[int], dim: int) -> int:
 
 def flat_to_tail(flat: int, order: int, dim: int) -> tuple[int, ...]:
     return tail_tuples(order, dim)[flat]
+
+
+@lru_cache(maxsize=None)
+def _one_based_tails(order: int, dim: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(c + 1 for c in t) for t in tail_tuples(order, dim))
+
+
+def tail1(A, flat: int) -> tuple[int, ...]:
+    """The 1-based trailing multi-index that reports print for flat offset
+    ``flat`` of a row of ``A`` (anything with ``order`` and ``dim``)."""
+    return _one_based_tails(A.order, A.dim)[flat]
 
 
 def diag_tail_flat(i1: int, order: int, dim: int) -> int:

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from itensor import check_interval_b, check_interval_double_b, make_interval, make_tensor
 from itensor.cli import dumps_report, main
 from itensor.interval import interval_to_json
+from itensor.interval_classify import LedgerDicts, interval_verdict_report
 from itensor.oracle import boundary_interval
 
 
@@ -36,6 +38,22 @@ class TestDumpsReport:
     def test_deterministic(self):
         obj = {"x": 0.1, "y": [1, 2, {"z": -4.75}]}
         assert dumps_report(obj) == dumps_report(obj)
+
+    def test_ledger_columns_match_dicts(self):
+        # The column writer must give the bytes the generic writer gives for
+        # the same records as dicts, signed zeros and extreme doubles included.
+        lower = make_tensor(3, 2, [1e-310, -0.0, 0.1, -0.0, -0.0, 1e300, 0.0, -0.0])
+        upper = make_tensor(3, 2, [2.0, 0.0, 0.3, -0.0, 1.0 / 3.0, 1e301, 0.0, 7.0])
+        AI = make_interval(lower, upper)
+        texts = []
+        for v in (check_interval_double_b(AI), check_interval_b(AI, "slack")):
+            rep = interval_verdict_report(v, "x")
+            assert isinstance(rep["conditions"], LedgerDicts)
+            for indent in (2, 3):
+                as_dicts = dict(rep, conditions=list(rep["conditions"]))
+                texts.append(dumps_report(rep, indent))
+                assert texts[-1] == dumps_report(as_dicts, indent)
+        assert any(": -0,\n" in text for text in texts)
 
 
 class TestCheckVerb:
@@ -112,6 +130,18 @@ class TestCheckVerb:
                                     "entries": [0, 0, 0, 0]}))
         assert main(["check", "--class", "b", "--epsilon", "-1", str(path)]) == 3
 
+    def test_memory_error_exit(self, accept_file, capsys, monkeypatch):
+        import itensor.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "check_interval_double_b", exhausted)
+        assert main(["check", "--class", "interval-double-b", accept_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+
     def test_byte_identical_reports(self, reject_file, capsys):
         main(["check", "--class", "interval-b", reject_file])
         first = capsys.readouterr().out
@@ -179,16 +209,6 @@ class TestGenerateAndCrossValidate:
         assert body["trials"] == 25
         assert body["counterexamples"] == []
         assert "double_b_implies_b_refuted" in body["inclusion_probe"]
-
-    def test_threads_env_recorded(self, accept_file, capsys, monkeypatch):
-        monkeypatch.setenv("ITENSOR_THREADS", "4")
-        assert main(["check", "--class", "interval-b", accept_file]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["threads"] == 4
-
-    def test_threads_env_validated(self, accept_file, capsys, monkeypatch):
-        monkeypatch.setenv("ITENSOR_THREADS", "zero")
-        assert main(["check", "--class", "interval-b", accept_file]) == 3
 
 
 class TestConsoleEntry:
