@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .tensor import (  # noqa: F401
     Tensor,
-    RowView,
     make_tensor,
     zeros,
     diagonal_tensor,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -301,45 +301,61 @@ def p_sufficient(A: Tensor, tol: float = 0.0) -> Verdict:
     return Verdict(Status.INCONCLUSIVE, "no_sufficient_branch")
 
 
-def _p_candidates(A: Tensor, budget: int, seed: int) -> np.ndarray:
-    """Deterministic candidate vectors: signed basis vectors, then all sign
-    vectors (dim <= 20), then ``budget`` seeded unit-sphere samples."""
-    n = A.dim
-    blocks = [np.eye(n), -np.eye(n)]
+# Rows per candidate block of falsify_p, as entries of the block's Kronecker
+# power (rows * n**(m-1)); bounds its memory whatever the budget.
+P_BLOCK_ENTRIES = 1 << 16
+
+
+def _p_blocks(n: int, budget: int, seed: int, rows: int) -> Iterator[np.ndarray]:
+    """Deterministic candidate vectors: the signed basis vectors as one
+    block, then in blocks of at most ``rows`` all sign vectors (dim <= 20;
+    sign vector s negates component i when bit i of s is set) and
+    ``budget`` seeded unit-sphere samples.  The samples are drawn block by
+    block from one generator, which gives the same numbers as one draw."""
+    yield np.vstack([np.eye(n), -np.eye(n)])
     if n <= 20:
-        signs = np.empty((2**n, n))
-        for s in range(2**n):
-            signs[s] = [-1.0 if (s >> i) & 1 else 1.0 for i in range(n)]
-        blocks.append(signs)
+        bits = np.arange(n, dtype=np.int64)
+        for start in range(0, 1 << n, rows):
+            s = np.arange(start, min(start + rows, 1 << n), dtype=np.int64)
+            yield 1.0 - 2.0 * ((s[:, None] >> bits) & 1)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((budget, n))
-    norms = np.linalg.norm(draws, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    blocks.append(draws / norms)
-    return np.vstack(blocks)
+    for start in range(0, budget, rows):
+        draws = rng.standard_normal((min(rows, budget - start), n))
+        norms = np.linalg.norm(draws, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        yield draws / norms
 
 
 def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
     """Search for a vector refuting the P property of A.
 
     A candidate x falsifies when max_i x_i * (A x^(m-1))_i <= 0.  Candidates
-    are scanned in a fixed order and the first falsifier (by index, under
-    the exact entrywise evaluation) is reported; absence of a falsifier is
-    not a membership certificate.
+    are scanned in a fixed order, block by block, and the first falsifier
+    (by index, under the exact entrywise evaluation) is reported; the scan
+    stops at the first block holding one.  Absence of a falsifier is not a
+    membership certificate.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    X = _p_candidates(A, budget, seed)
-    vals = np.max(X * tensor_apply_many(A, X), axis=1)
     # Batched accumulation order can differ from tensor_apply by a few ulps;
     # anything at or below this margin is re-decided exactly.
     margin = 1e-9 * (1.0 + float(np.max(np.abs(A.entries))) * A.row_len)
-    for idx in np.nonzero(vals <= margin)[0]:
-        x = X[int(idx)]
-        exact = max(x[i] * v for i, v in enumerate(tensor_apply(A, x)))
-        if exact <= 0.0:
-            return FalsifyResult(True, tuple(float(v) for v in x), int(idx) + 1, seed)
-    return FalsifyResult(False, None, X.shape[0], seed)
+    rows = max(1, P_BLOCK_ENTRIES // A.row_len)
+    seen = 0
+    for X in _p_blocks(A.dim, budget, seed, rows):
+        # Reduced over the transposed views, which is faster; the order of
+        # a maximum changes at most the sign of a zero, which the filter
+        # below ignores.
+        vals = np.max(X.T * tensor_apply_many(A, X).T, axis=0)
+        for idx in np.nonzero(vals <= margin)[0]:
+            x = X[int(idx)]
+            exact = max(x[i] * v for i, v in enumerate(tensor_apply(A, x)))
+            if exact <= 0.0:
+                return FalsifyResult(
+                    True, tuple(float(v) for v in x), seen + int(idx) + 1, seed
+                )
+        seen += len(X)
+    return FalsifyResult(False, None, seen, seed)
 
 
 def verdict_report(v: Verdict, class_id: str) -> dict:

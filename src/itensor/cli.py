@@ -4,7 +4,8 @@ Verbs: ``check`` (run one class criterion on a tensor or interval file),
 ``classify`` (the double-B dichotomy), ``generate`` (write a random
 instance), and ``cross-validate`` (run the oracle suite).  Exit codes:
 0 the property holds, 1 it fails, 2 the criterion is inconclusive,
-3 usage or parse error, or an input too large for memory.  The JSON
+3 usage or parse error, an input too large for memory, or a ``generate``
+shape above ``MAX_GENERATE_ENTRIES`` entries per bound.  The JSON
 report goes to stdout (or ``--output``) and is byte-identical across
 identical invocations; a human summary goes to stderr.  Floats are
 printed as decimal doubles with 17 significant digits.
@@ -63,9 +64,28 @@ ALL_CLASSES = POINT_CLASSES + INTERVAL_CLASSES + ("dichotomy",)
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
+# Largest n**m that ``generate`` builds: each bound tensor holds n**m
+# entries, and the generator keeps a few arrays of that size at once.
+MAX_GENERATE_ENTRIES = 1 << 20
+
 
 class UsageError(Exception):
     pass
+
+
+def _check_generate_size(m: int, n: int) -> None:
+    """Reject a ``generate`` shape before anything is allocated."""
+    if m < 2:
+        raise UsageError(f"order must be >= 2, got {m}")
+    if n < 1:
+        raise UsageError(f"dim must be >= 1, got {n}")
+    # For n >= 2 and m > 64, n**64 is already past the cap; the exponent is
+    # clamped so that a huge --m never builds a huge integer.
+    if n ** min(m, 64) > MAX_GENERATE_ENTRIES:
+        raise UsageError(
+            f"--m {m} --n {n} needs n**m entries per bound, more than the "
+            f"{MAX_GENERATE_ENTRIES} that generate writes"
+        )
 
 
 def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
@@ -416,6 +436,7 @@ def main(argv=None) -> int:
             return _status_exit(status)
 
         if args.verb == "generate":
+            _check_generate_size(args.m, args.n)
             spec = GeneratorSpec(
                 order=args.m, dim=args.n, structure=args.structure, seed=args.seed
             )

@@ -44,6 +44,7 @@ __all__ = [
     "extreme_hat",
     "reduce_via_K",
     "vertex_count",
+    "vertex_blocks",
     "vertex_iter",
     "interval_to_json",
     "interval_from_json",
@@ -316,15 +317,24 @@ def vertex_count(AI: IntervalTensor) -> int:
     return 1 << len(_varying_positions(AI))
 
 
-def vertex_iter(
+# Entries per block of vertex_blocks: bounds the memory of one block (and of
+# the array checks run on it) whatever the vertex count.
+VERTEX_BLOCK_ENTRIES = 1 << 16
+
+
+def vertex_blocks(
     AI: IntervalTensor, limit: int = DEFAULT_VERTEX_LIMIT
-) -> Iterator[Tensor]:
-    """Enumerate every distinct vertex of the box exactly once.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Enumerate every distinct vertex of the box exactly once, in blocks.
 
     Selector bit b toggles the b-th non-degenerate position between lower
     (0) and upper (1); selectors ascend, so the first vertex is the lower
-    bound and the last is the upper bound.  Raises BudgetExceeded with the
-    required count when 2**k exceeds ``limit``.
+    bound and the last is the upper bound.  Yields ``(start, rows)``: the
+    selector of the block's first vertex and a fresh ``(count, n**m)``
+    array holding the vertices of selectors ``start, start + 1, ...``, one
+    per row, with at most ``VERTEX_BLOCK_ENTRIES`` entries in all (at least
+    one row).  Raises BudgetExceeded with the required count when 2**k
+    exceeds ``limit``.
     """
     var = _varying_positions(AI)
     required = 1 << len(var)
@@ -334,17 +344,23 @@ def vertex_iter(
             required,
         )
     lower = AI.lower.entries
-    upper = AI.upper.entries
-    for s in range(required):
-        arr = lower.copy()
-        sel = s
-        b = 0
-        while sel:
-            if sel & 1:
-                arr[var[b]] = upper[var[b]]
-            sel >>= 1
-            b += 1
-        yield Tensor(AI.order, AI.dim, arr)
+    lo, up = lower[var], AI.upper.entries[var]
+    bits = np.arange(len(var), dtype=np.int64)
+    step = max(1, VERTEX_BLOCK_ENTRIES // lower.size)
+    for start in range(0, required, step):
+        sel = np.arange(start, min(start + step, required), dtype=np.int64)
+        rows = np.repeat(lower[None, :], len(sel), axis=0)
+        rows[:, var] = np.where(((sel[:, None] >> bits) & 1).astype(bool), up, lo)
+        yield start, rows
+
+
+def vertex_iter(
+    AI: IntervalTensor, limit: int = DEFAULT_VERTEX_LIMIT
+) -> Iterator[Tensor]:
+    """Every vertex of the box as a Tensor, in the order of vertex_blocks."""
+    for _, rows in vertex_blocks(AI, limit):
+        for row in rows:
+            yield Tensor(AI.order, AI.dim, row.copy())
 
 
 def interval_to_json(AI: IntervalTensor) -> dict:

@@ -13,6 +13,19 @@ The oracle decides interval membership by checking every vertex of the box
   bound every member of the box.  A belt of random interior members is
   checked as well, guarding the implementation rather than the argument.
 
+The vertices are evaluated in blocks: ``interval.vertex_blocks`` lays
+consecutive vertices out as the rows of one array of bounded size, and
+array forms of ``check_b(T, "definition")`` and ``check_double_b`` decide
+every row at once; the scan stops at the first block holding a failure.
+The array forms repeat the scalar checks' arithmetic operation for
+operation on the same doubles: sums add the columns in ascending offset
+order from +0.0, the row maximum is kept with ``np.where(x > g, x, g)``,
+products and the comparisons ``lhs > rhs - tol`` / ``>=`` are elementwise,
+and the first failure is read in the scalar scan order (conditions a, b,
+c; by row, then by row pair).  So the verdict, the first failing vertex,
+its witness and ``vertices_checked`` are bit for bit those of checking one
+vertex ``Tensor`` at a time.
+
 The cross-validation suite generates seeded random families (optionally Z,
 circulant, or symmetric structured, plus exactly manufactured critical-row
 families), replays every classifier invariant against the oracle and
@@ -27,6 +40,7 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +59,7 @@ from .interval import (
     is_interval_z,
     make_interval,
     reduce_via_K,
-    vertex_iter,
+    vertex_blocks,
 )
 from .interval_classify import (
     INTERVAL_B_METHODS,
@@ -67,6 +81,7 @@ from .tensor import (
     is_circulant,
     make_tensor,
     row_mix,
+    tail1,
     tail_to_flat,
 )
 
@@ -130,11 +145,14 @@ def oracle_interval_b(
 ) -> OracleVerdict:
     """Interval B membership by checking the B criterion at every vertex."""
     checked = 0
-    for T in vertex_iter(AI, limit):
-        checked += 1
-        v = check_b(T, "definition", tol=tol)
-        if not v.holds():
-            return OracleVerdict(Status.FAILS, "vertex_b", v.witness, T, checked)
+    for start, rows in vertex_blocks(AI, limit):
+        hit = _b_failure(rows, AI, tol)
+        if hit is not None:
+            v, w = hit
+            return OracleVerdict(
+                Status.FAILS, "vertex_b", w, _member(AI, rows[v]), start + v + 1
+            )
+        checked = start + len(rows)
     return OracleVerdict(Status.HOLDS, "vertex_b", vertices_checked=checked)
 
 
@@ -148,21 +166,138 @@ def oracle_interval_double_b(
     """Interval double B membership by vertex exhaustion plus a belt of
     random interior members."""
     checked = 0
-    for T in vertex_iter(AI, limit):
-        checked += 1
-        v = check_double_b(T, tol=tol)
-        if not v.holds():
+    for start, rows in vertex_blocks(AI, limit):
+        hit = _double_b_failure(rows, AI, tol)
+        if hit is not None:
+            v, w = hit
             return OracleVerdict(
-                Status.FAILS, "vertex_double_b", v.witness, T, checked
+                Status.FAILS, "vertex_double_b", w, _member(AI, rows[v]),
+                start + v + 1,
             )
-    for k in range(interior_members):
-        T = random_member(AI, seed=member_seed * 1_000_003 + k)
-        v = check_double_b(T, tol=tol)
-        if not v.holds():
+        checked = start + len(rows)
+    if interior_members > 0:
+        rows = np.stack([
+            random_member(AI, seed=member_seed * 1_000_003 + k).entries
+            for k in range(interior_members)
+        ])
+        hit = _double_b_failure(rows, AI, tol)
+        if hit is not None:
+            v, w = hit
             return OracleVerdict(
-                Status.FAILS, "interior_double_b", v.witness, T, checked
+                Status.FAILS, "interior_double_b", w, _member(AI, rows[v]), checked
             )
     return OracleVerdict(Status.HOLDS, "vertex_double_b", vertices_checked=checked)
+
+
+def _member(AI: IntervalTensor, row: np.ndarray) -> Tensor:
+    return Tensor(AI.order, AI.dim, row.copy())
+
+
+@lru_cache(maxsize=None)
+def _layout(order: int, dim: int):
+    """Per-shape index arrays of the array checks: the diagonal offset of
+    each row, the (r, n) mask of off-diagonal positions by offset and row,
+    and the row pairs i < j in lexicographic order."""
+    r = dim ** (order - 1)
+    diag = np.array([diag_tail_flat(i, order, dim) for i in range(dim)])
+    offdiag = np.arange(r)[:, None] != diag[None, :]
+    pair_i, pair_j = np.triu_indices(dim, 1)
+    for arr in (diag, offdiag, pair_i, pair_j):
+        arr.setflags(write=False)  # shared by every caller of the cache
+    return diag, offdiag, pair_i, pair_j
+
+
+def _first_failure(fails: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first True of a C-ordered (rows, columns)
+    boolean array, scanning row by row; None when all are False."""
+    k = int(np.argmax(fails))
+    if not fails.flat[k]:
+        return None
+    return divmod(k, fails.shape[1])
+
+
+def _b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
+    """``check_b(T, "definition", tol)`` for the member in every row of
+    ``rows``: the first failing row's index and witness, or None.
+
+    Row sums add the columns in ascending offset order starting from +0.0,
+    as ``sum`` does on Python 3.11 and earlier (later versions compensate
+    float sums, and the scalar sum can then differ in the last bit), and
+    each test is ``not lhs > rhs - tol`` on the same doubles, so the
+    witness is bit for bit the scalar one.
+    """
+    m, n = AI.order, AI.dim
+    diag, _, _, _ = _layout(m, n)
+    r = AI.row_len
+    block = rows.reshape(len(rows), n, r)
+    total = np.zeros((len(rows), n))
+    for f in range(r):
+        total += block[:, :, f]
+    mean = total / r
+    # Per member: row by row, condition a then condition b by offset.
+    fails = np.empty((len(rows), n, r + 1), dtype=bool)
+    fails[:, :, 0] = ~(total > 0.0 - tol)
+    fails[:, :, 1:] = ~(mean[:, :, None] > block - tol)
+    fails[:, np.arange(n), 1 + diag] = False
+    hit = _first_failure(fails.reshape(len(rows), -1))
+    if hit is None:
+        return None
+    v, k = hit
+    i1, c = divmod(k, r + 1)
+    if c == 0:
+        return v, Witness(i1 + 1, "a", float(total[v, i1]), 0.0)
+    f = c - 1
+    return v, Witness(
+        i1 + 1, "b", float(mean[v, i1]), float(block[v, i1, f]), tail1(AI, f)
+    )
+
+
+def _double_b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
+    """``check_double_b(T, tol)`` for the member in every row of ``rows``:
+    the first failing row's index and witness, or None.
+
+    The row maximum is kept as ``np.where(x > g, x, g)`` over the
+    off-diagonal columns in ascending order from +0.0, as ``gamma_plus``
+    does (``np.maximum`` could turn +0.0 into -0.0); the summed gaps add
+    the columns in ascending order from +0.0, the diagonal adding +0.0,
+    which leaves a sum that starts at +0.0 unchanged.  With the scalar's
+    products and comparisons on the same doubles, the witness is bit for
+    bit the scalar one.
+    """
+    m, n = AI.order, AI.dim
+    diag, offdiag, pair_i, pair_j = _layout(m, n)
+    r = AI.row_len
+    block = rows.reshape(len(rows), n, r)
+    d = block[:, np.arange(n), diag]
+    gam = np.zeros((len(rows), n))
+    for f in range(r):
+        x = block[:, :, f]
+        gam = np.where(offdiag[f] & (x > gam), x, gam)
+    gaps = np.zeros((len(rows), n))
+    for f in range(r):
+        gaps += np.where(offdiag[f], gam - block[:, :, f], 0.0)
+    surplus = d - gam
+    lhs_c = surplus[:, pair_i] * surplus[:, pair_j]
+    rhs_c = gaps[:, pair_i] * gaps[:, pair_j]
+    # Per member: condition a by row, b by row, then c by row pair.
+    fails = np.concatenate(
+        [~(d > gam - tol), ~(surplus >= gaps - tol), ~(lhs_c > rhs_c - tol)],
+        axis=1,
+    )
+    hit = _first_failure(fails)
+    if hit is None:
+        return None
+    v, k = hit
+    if k < n:
+        return v, Witness(k + 1, "a", float(d[v, k]), float(gam[v, k]))
+    if k < 2 * n:
+        i1 = k - n
+        return v, Witness(i1 + 1, "b", float(surplus[v, i1]), float(gaps[v, i1]))
+    p = k - 2 * n
+    return v, Witness(
+        int(pair_i[p]) + 1, "c", float(lhs_c[v, p]), float(rhs_c[v, p]),
+        pair_row=int(pair_j[p]) + 1,
+    )
 
 
 def _snap(arr: np.ndarray) -> np.ndarray:

@@ -13,13 +13,12 @@ JSON, CLI) convert to 1-based.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "RowView",
     "make_tensor",
     "zeros",
     "diagonal_tensor",
@@ -100,13 +99,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(order={self.order}, dim={self.dim}, entries={self.entries.tolist()!r})"
-
-
-class RowView(NamedTuple):
-    """One row of a tensor: the leading index and its n**(m-1) values."""
-
-    row: int
-    values: tuple[float, ...]
 
 
 def make_tensor(order: int, dim: int, entries: Sequence[float] | np.ndarray) -> Tensor:
@@ -198,9 +190,10 @@ def _check_row_index(A: Tensor, i1: int) -> None:
         raise ValueError(f"row index {i1} out of range [0, {A.dim})")
 
 
-def row_view(A: Tensor, i1: int) -> RowView:
+def row_view(A: Tensor, i1: int) -> tuple[int, tuple[float, ...]]:
+    """Row i1 as ``(i1, values)``: the leading index and its n**(m-1) values."""
     _check_row_index(A, i1)
-    return RowView(i1, tuple(A.row_list(i1)))
+    return i1, tuple(A.row_list(i1))
 
 
 def row_sum(A: Tensor, i1: int) -> float:
@@ -243,18 +236,24 @@ def tensor_apply(A: Tensor, x: Sequence[float]) -> list[float]:
 def tensor_apply_many(A: Tensor, X: np.ndarray) -> np.ndarray:
     """Vectorized A x^(m-1) for a batch of vectors X of shape (count, dim).
 
-    Float accumulation order differs from tensor_apply; callers needing the
+    One matrix product: the row-wise Kronecker power of X, of shape
+    (count, n**(m-1)) with column f holding x[i2] * ... * x[im] for the
+    trailing multi-index of offset f, times the (n**(m-1), n) transpose of
+    the entries viewed as rows.  The power is built and multiplied
+    transposed, with the batch along the last axis, so that every
+    elementwise product runs over long rows; the result is a (count, dim)
+    view of that transposed product.  Products associate and sums
+    accumulate differently from tensor_apply; callers needing the
     canonical value must recheck borderline results with tensor_apply.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != A.dim:
         raise ValueError(f"expected batch shape (count, {A.dim}), got {X.shape}")
-    m = A.order
-    letters = "abcdefghijklmnopqrtuvwxyz"  # 's' reserved for the batch axis
-    if m > len(letters):
-        raise ValueError(f"order {m} too large for batched evaluation")
-    subs = letters[:m] + "".join("," + "s" + letters[k] for k in range(1, m))
-    return np.einsum(subs + "->s" + letters[0], A.nd, *([X] * (m - 1)), optimize=True)
+    XT = np.ascontiguousarray(X.T)
+    KT = XT
+    for _ in range(A.order - 2):
+        KT = (KT[:, None, :] * XT[None, :, :]).reshape(-1, len(X))
+    return (A.entries.reshape(A.dim, -1) @ KT).T
 
 
 def sign_transform(Ac: Tensor, Delta: Tensor, z: Sequence[int]) -> Tensor:

@@ -200,6 +200,27 @@ class TestGenerateAndCrossValidate:
               "--output", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_generate_size_cap(self, capsys, monkeypatch):
+        import itensor.cli as cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(spec):
+            raise Reached((spec.order, spec.dim))
+
+        monkeypatch.setattr(cli, "random_interval_tensor", reached)
+        # 2**20 entries is the cap itself: the generator is reached.
+        with pytest.raises(Reached):
+            main(["generate", "--m", "4", "--n", "32"])
+        for m, n in (("3", "102"), ("21", "2"), ("1000000000", "10"),
+                     ("1", "3"), ("0", "2"), ("-1", "2"), ("3", "0")):
+            assert main(["generate", "--m", m, "--n", n]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
     def test_cross_validate(self, capsys):
         code = main(["cross-validate", "--trials", "25", "--seed", "3",
                      "--m", "3", "--n", "2"])

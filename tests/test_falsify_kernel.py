@@ -1,0 +1,208 @@
+"""The streamed P falsifier against the whole-array one.
+
+``reference_candidates`` and ``reference_falsify_p`` are ``falsify_p`` as
+it was before it streamed its candidates: every candidate built at once
+(sign vectors from a Python loop), one ``np.einsum`` contraction over all
+of them, then the exact recheck in index order.  The streamed falsifier
+must return the same ``FalsifyResult``: the same verdict, the same
+counterexample bit for bit and the same ``samples_used``.
+"""
+
+import numpy as np
+import pytest
+
+from itensor import (
+    GeneratorSpec,
+    diagonal_tensor,
+    falsify_p,
+    make_tensor,
+    midpoint_radius,
+    random_interval_tensor,
+    random_member,
+    sign_transform,
+    tensor_apply,
+)
+from itensor import classify
+from itensor.classify import FalsifyResult
+from itensor.tensor import tensor_apply_many
+
+
+def reference_candidates(n, budget, seed):
+    blocks = [np.eye(n), -np.eye(n)]
+    if n <= 20:
+        signs = np.empty((2**n, n))
+        for s in range(2**n):
+            signs[s] = [-1.0 if (s >> i) & 1 else 1.0 for i in range(n)]
+        blocks.append(signs)
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((budget, n))
+    norms = np.linalg.norm(draws, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    blocks.append(draws / norms)
+    return np.vstack(blocks)
+
+
+def reference_apply_many(A, X):
+    m = A.order
+    letters = "abcdefghijklmnopqrtuvwxyz"
+    subs = letters[:m] + "".join("," + "s" + letters[k] for k in range(1, m))
+    return np.einsum(subs + "->s" + letters[0], A.nd, *([X] * (m - 1)), optimize=True)
+
+
+def reference_falsify_p(A, budget, seed):
+    X = reference_candidates(A.dim, budget, seed)
+    vals = np.max(X * reference_apply_many(A, X), axis=1)
+    margin = 1e-9 * (1.0 + float(np.max(np.abs(A.entries))) * A.row_len)
+    for idx in np.nonzero(vals <= margin)[0]:
+        x = X[int(idx)]
+        exact = max(x[i] * v for i, v in enumerate(tensor_apply(A, x)))
+        if exact <= 0.0:
+            return FalsifyResult(True, tuple(float(v) for v in x), int(idx) + 1, seed)
+    return FalsifyResult(False, None, X.shape[0], seed)
+
+
+def _bits(res):
+    x = res.counterexample_x
+    return (res.falsified, None if x is None else tuple(v.hex() for v in x),
+            res.samples_used, res.seed)
+
+
+def assert_same(T, budget, seed):
+    got = falsify_p(T, budget=budget, seed=seed)
+    ref = reference_falsify_p(T, budget, seed)
+    assert _bits(got) == _bits(ref)
+    return ref
+
+
+def _p_members(m, n, settings, seed, count):
+    """Sign-transform and random members of one symmetric family, as the
+    falsification pipeline draws them."""
+    AI = random_interval_tensor(
+        GeneratorSpec(m, n, structure="symmetric", seed=seed, **settings)
+    )
+    mid, rad = midpoint_radius(AI)
+    members = [sign_transform(mid, rad, z) for z in ((1,) * n, (-1,) + (1,) * (n - 1))]
+    return members + [random_member(AI, seed=seed + k) for k in range(count)]
+
+
+def _scaled(m, n):
+    q = n ** (m - 1) - 1
+    return dict(diag_range=(1.2 * q, 1.8 * q), offdiag_range=(-1.0, 1.0),
+                radius_scale=0.25)
+
+
+P_SHAPES = (
+    (4, 2, dict(diag_range=(6.0, 9.0), offdiag_range=(-0.25, 0.25),
+                radius_scale=0.125)),
+    (4, 3, _scaled(4, 3)),
+    (3, 6, _scaled(3, 6)),
+)
+
+
+@pytest.mark.parametrize("m, n, settings", P_SHAPES)
+def test_pipeline_shapes(m, n, settings):
+    outcomes = set()
+    for f in range(2):
+        for k, T in enumerate(_p_members(m, n, settings, 40 + f, 3)):
+            outcomes.add(assert_same(T, 10_000, seed=f * 10 + k).falsified)
+    assert outcomes == {m % 2 == 1}
+
+
+def test_odd_order_refuted_at_negative_first_basis_vector():
+    T = make_tensor(3, 2, [4.0, 0.5, 0.5, 0.25, 0.5, 0.25, 0.25, 5.0])
+    res = assert_same(T, 10_000, seed=3)
+    assert res.falsified and res.samples_used == 2 + 1
+    assert res.counterexample_x == (-1.0, 0.0)
+
+
+@pytest.mark.parametrize("m, n", ((2, 2), (2, 3), (2, 5), (3, 3), (4, 2), (5, 2)))
+def test_random_tensors(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    outcomes = set()
+    for k in range(30):
+        shift = rng.uniform(0.0, 1.5) * n ** (m - 1) if k % 3 else 0.0
+        T = make_tensor(m, n, rng.uniform(-1.0, 1.0, n**m) + shift)
+        outcomes.add(assert_same(T, (1, 7, 300)[k % 3], seed=k).falsified)
+    assert True in outcomes
+
+
+def test_dim_one():
+    for m in (2, 3, 4):
+        for k, a in enumerate((2.0, -1.0, 0.0, -0.0)):
+            for budget in (1, 5):
+                assert_same(make_tensor(m, 1, [a]), budget, seed=k + m)
+
+
+def test_no_sign_block_above_twenty():
+    n = 21
+    rng = np.random.default_rng(21)
+    A = rng.uniform(-1.0, 1.0, (n, n)) + np.eye(n) * 30.0
+    res = assert_same(make_tensor(2, n, A.reshape(-1)), 50, seed=2)
+    assert not res.falsified and res.samples_used == 2 * n + 50
+    B = A.copy()
+    B[:, 0] = -B[:, 0]  # x = e_0 now gives x_0 (B x)_0 = b_00 < 0
+    res = assert_same(make_tensor(2, n, B.reshape(-1)), 50, seed=2)
+    assert res.falsified and res.samples_used == 1
+
+
+def test_budget_one():
+    T = diagonal_tensor(4, 2, 6.0)
+    res = assert_same(T, 1, seed=9)
+    assert res.samples_used == 2 * 2 + 4 + 1
+    assert_same(make_tensor(3, 2, [1, -2, 3, -4, 5, -6, 7, -8]), 1, seed=9)
+
+
+def test_falsifier_on_a_block_boundary(monkeypatch):
+    """The first falsifier as the last row of one block and as the first
+    row of the next, in the sign block and in the sample blocks."""
+    rng = np.random.default_rng(77)
+    hits = set()
+    for k in range(400):
+        T = make_tensor(2, 3, rng.uniform(-1.0, 1.0, 9) + np.eye(3).reshape(-1) * 0.6)
+        ref = reference_falsify_p(T, 40, seed=k)
+        idx = ref.samples_used - 1
+        start = 2 * 3  # the basis block always stands alone
+        if not ref.falsified or idx <= start + 1:
+            continue
+        hits.add("sign" if idx < start + 8 else "sample")
+        # Sign and sample blocks restart at their own first candidate.
+        off = idx - start if idx < start + 8 else idx - start - 8
+        for rows in {off, off + 1} - {0}:
+            monkeypatch.setattr(classify, "P_BLOCK_ENTRIES", rows * 3)
+            assert _bits(falsify_p(T, budget=40, seed=k)) == _bits(ref)
+        if hits == {"sign", "sample"}:
+            break
+    assert hits == {"sign", "sample"}
+
+
+def test_small_blocks_everywhere(monkeypatch):
+    monkeypatch.setattr(classify, "P_BLOCK_ENTRIES", 3 * 4)
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        T = make_tensor(3, 2, rng.uniform(-1.0, 1.0, 8) + (2.0 if k % 2 else 0.0))
+        assert_same(T, 25, seed=k)
+        assert_same(T, 2, seed=k)
+
+
+def test_chunked_draws_equal_single_draw():
+    for n in (1, 2, 3, 6):
+        whole = np.random.default_rng(11).standard_normal((1000, n))
+        rng = np.random.default_rng(11)
+        parts = [rng.standard_normal((size, n)) for size in (1, 7, 256, 736)]
+        assert np.vstack(parts).tobytes() == whole.tobytes()
+        # Skip the basis block and the sign block (2**n <= 300 rows: one).
+        got = np.vstack(list(classify._p_blocks(n, 1000, 11, 300))[2:])
+        assert got.tobytes() == reference_candidates(n, 1000, 11)[2 * n + 2**n:].tobytes()
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 5, 6))
+def test_apply_many_within_falsifier_margin(m):
+    rng = np.random.default_rng(m)
+    for n in (1, 2, 3):
+        T = make_tensor(m, n, rng.uniform(-4.0, 4.0, n**m))
+        X = np.vstack(list(classify._p_blocks(n, 200, m, 64)))
+        margin = 1e-9 * (1.0 + float(np.max(np.abs(T.entries))) * T.row_len)
+        batched = tensor_apply_many(T, X)
+        exact = np.array([tensor_apply(T, x) for x in X])
+        assert np.max(np.abs(batched - exact)) < margin / 1000
+        assert np.max(np.abs(reference_apply_many(T, X) - exact)) < margin / 1000

@@ -86,9 +86,7 @@ class TestRowOps:
             row_sum(zeros(2, 2), 2)
 
     def test_row_view(self, family_not_b):
-        rv = row_view(family_not_b.lower, 1)
-        assert rv.row == 1
-        assert rv.values == (0.0, 1.0, 1.0, 4.0)
+        assert row_view(family_not_b.lower, 1) == (1, (0.0, 1.0, 1.0, 4.0))
 
     def test_gamma_plus_values(self, family_not_b, family_double_b):
         assert gamma_plus(family_double_b.upper, 0) == 1.0
