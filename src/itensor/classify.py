@@ -28,6 +28,7 @@ from .tensor import (
     is_circulant,
     is_symmetric,
     offdiag_tail_flats,
+    ordered_sum,
     tail1,
     tensor_apply,
     tensor_apply_many,
@@ -154,7 +155,7 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
     for i1 in range(A.dim):
         row = A.row_list(i1)
         if method == "definition":
-            s = sum(row)
+            s = ordered_sum(row)
             if not _gt(s, 0.0, tol):
                 return _fails(method, i1, "a", s, 0.0)
             mean = s / r
@@ -162,7 +163,7 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
                 if not _gt(mean, row[f], tol):
                     return _fails(method, i1, "b", mean, row[f], tail1(A, f))
         elif method == "rowsum_gamma":
-            s = sum(row)
+            s = ordered_sum(row)
             g = gamma_plus(A, i1)
             if not _gt(s, r * g, tol):
                 cond, tail = "a", None

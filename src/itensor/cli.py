@@ -4,8 +4,9 @@ Verbs: ``check`` (run one class criterion on a tensor or interval file),
 ``classify`` (the double-B dichotomy), ``generate`` (write a random
 instance), and ``cross-validate`` (run the oracle suite).  Exit codes:
 0 the property holds, 1 it fails, 2 the criterion is inconclusive,
-3 usage or parse error, an input too large for memory, or a ``generate``
-shape above ``MAX_GENERATE_ENTRIES`` entries per bound.  The JSON
+3 usage or parse error, an input too large for memory, a tensor order
+above ``tensor.MAX_ORDER``, or a ``generate`` shape above
+``MAX_GENERATE_ENTRIES`` entries per bound.  The JSON
 report goes to stdout (or ``--output``) and is byte-identical across
 identical invocations; a human summary goes to stderr.  Floats are
 printed as decimal doubles with 17 significant digits.
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .classify import (
@@ -50,7 +52,7 @@ from .interval_classify import (
     interval_verdict_report,
 )
 from .oracle import GeneratorSpec, equivalence_suite, random_interval_tensor
-from .tensor import tail1, tensor_from_json
+from .tensor import MAX_ORDER, tail1, tensor_from_json
 
 POINT_CLASSES = ("b", "double-b", "z", "sdd", "circulant-b", "p-sufficient", "p-falsify")
 INTERVAL_CLASSES = (
@@ -77,11 +79,11 @@ def _check_generate_size(m: int, n: int) -> None:
     """Reject a ``generate`` shape before anything is allocated."""
     if m < 2:
         raise UsageError(f"order must be >= 2, got {m}")
+    if m > MAX_ORDER:
+        raise UsageError(f"order must be <= {MAX_ORDER}, got {m}")
     if n < 1:
         raise UsageError(f"dim must be >= 1, got {n}")
-    # For n >= 2 and m > 64, n**64 is already past the cap; the exponent is
-    # clamped so that a huge --m never builds a huge integer.
-    if n ** min(m, 64) > MAX_GENERATE_ENTRIES:
+    if n**m > MAX_GENERATE_ENTRIES:
         raise UsageError(
             f"--m {m} --n {n} needs n**m entries per bound, more than the "
             f"{MAX_GENERATE_ENTRIES} that generate writes"
@@ -360,7 +362,10 @@ def _emit(args, envelope: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``itensor`` argument parser, built once per process; parsing
+    leaves it unchanged, so every ``main`` call reuses it."""
     p = argparse.ArgumentParser(
         prog="itensor",
         description="Structured tensor and interval tensor class checks.",

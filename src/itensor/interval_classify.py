@@ -48,7 +48,13 @@ from .interval import (
     is_interval_z,
     is_symmetric_interval,
 )
-from .tensor import diag_tail_flat, is_circulant, offdiag_tail_flats, tail1
+from .tensor import (
+    diag_tail_flat,
+    is_circulant,
+    offdiag_tail_flats,
+    ordered_sum,
+    tail1,
+)
 
 __all__ = [
     "ConditionRecord",
@@ -337,11 +343,11 @@ class _Rows:
             self.lrow[i][diag_tail_flat(i, AI.order, n)] for i in range(n)
         ]
         self.lsum_od = [
-            sum(self.lrow[i][t] for t in self.od[i]) for i in range(n)
+            ordered_sum(self.lrow[i][t] for t in self.od[i]) for i in range(n)
         ]
 
     def lrow_total(self, i1: int) -> float:
-        return sum(self.lrow[i1])
+        return ordered_sum(self.lrow[i1])
 
     def excl(self, i1: int, j: int) -> float:
         """Slack sum of row i1 anchored at j's upper bound, skipping j."""

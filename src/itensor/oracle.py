@@ -12,6 +12,12 @@ The oracle decides interval membership by checking every vertex of the box
   members are, the endpoint conditions follow, and the endpoint conditions
   bound every member of the box.  A belt of random interior members is
   checked as well, guarding the implementation rather than the argument.
+  The belt is one block of uniform draws from a single
+  ``default_rng(member_seed * 1_000_003)``: its first row is
+  ``random_member(AI, member_seed * 1_000_003)`` bit for bit, the others
+  are further uniform members of the same box, so the guard checks as many
+  members as a generator per member would, deterministic in
+  ``member_seed``, without seeding one generator per member.
 
 The vertices are evaluated in blocks: ``interval.vertex_blocks`` lays
 consecutive vertices out as the rows of one array of bounded size, and
@@ -176,10 +182,10 @@ def oracle_interval_double_b(
             )
         checked = start + len(rows)
     if interior_members > 0:
-        rows = np.stack([
-            random_member(AI, seed=member_seed * 1_000_003 + k).entries
-            for k in range(interior_members)
-        ])
+        rng = np.random.default_rng(member_seed * 1_000_003)
+        lo = AI.lower.entries
+        span = AI.upper.entries - lo
+        rows = lo + rng.uniform(0.0, 1.0, size=(interior_members, span.size)) * span
         hit = _double_b_failure(rows, AI, tol)
         if hit is not None:
             v, w = hit
@@ -221,9 +227,8 @@ def _b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
     ``rows``: the first failing row's index and witness, or None.
 
     Row sums add the columns in ascending offset order starting from +0.0,
-    as ``sum`` does on Python 3.11 and earlier (later versions compensate
-    float sums, and the scalar sum can then differ in the last bit), and
-    each test is ``not lhs > rhs - tol`` on the same doubles, so the
+    as the scalar check's ``ordered_sum`` does on every Python version,
+    and each test is ``not lhs > rhs - tol`` on the same doubles, so the
     witness is bit for bit the scalar one.
     """
     m, n = AI.order, AI.dim

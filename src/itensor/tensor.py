@@ -12,12 +12,14 @@ JSON, CLI) convert to 1-based.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "MAX_ORDER",
     "Tensor",
     "make_tensor",
     "zeros",
@@ -40,7 +42,20 @@ __all__ = [
     "row_mix",
     "tensor_to_json",
     "tensor_from_json",
+    "ordered_sum",
 ]
+
+# Largest tensor order: numpy's limit on ndarray dimensions, which
+# ``Tensor.nd`` reaches.  Checked before ``dim**order`` is computed.
+MAX_ORDER = 64
+
+
+def ordered_sum(xs) -> float:
+    """Sum of floats added left to right from 0, as the builtin ``sum``
+    does up to Python 3.11; later versions compensate float sums and can
+    differ in the last bit from the array kernels' ordered sums.  An empty
+    sum is the integer 0, as with ``sum``."""
+    return reduce(operator.add, xs, 0)
 
 
 class Tensor:
@@ -105,6 +120,8 @@ def make_tensor(order: int, dim: int, entries: Sequence[float] | np.ndarray) -> 
     """Build a tensor from flat row-major entries, validating shape and finiteness."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     arr = np.asarray(entries, dtype=np.float64).reshape(-1)
@@ -199,7 +216,7 @@ def row_view(A: Tensor, i1: int) -> tuple[int, tuple[float, ...]]:
 def row_sum(A: Tensor, i1: int) -> float:
     """Sum of all entries of row i1, accumulated in ascending flat order."""
     _check_row_index(A, i1)
-    return sum(A.row_list(i1))
+    return ordered_sum(A.row_list(i1))
 
 
 def gamma_plus(A: Tensor, i1: int) -> float:

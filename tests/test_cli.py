@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from itensor import check_interval_b, check_interval_double_b, make_interval, make_tensor
-from itensor.cli import dumps_report, main
+from itensor.cli import build_parser, dumps_report, main
 from itensor.interval import interval_to_json
 from itensor.interval_classify import LedgerDicts, interval_verdict_report
 from itensor.oracle import boundary_interval
@@ -142,6 +142,21 @@ class TestCheckVerb:
         assert captured.out == ""
         assert captured.err.startswith("error: out of memory")
 
+    def test_order_cap_in_file(self, tmp_path, capsys):
+        # Rejected before dim**order is computed, and before any entry is
+        # converted.
+        tensor = {"order": 3_000_000, "dim": 2, "entries": [1.0]}
+        interval = {"order": 3_000_000, "dim": 2, "lower": [1.0], "upper": [2.0]}
+        for name, obj in (("t.json", tensor), ("i.json", interval)):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            assert main(["check", "--class", "b", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}: order must be <= 64, got 3000000\n"
+            )
+
     def test_byte_identical_reports(self, reject_file, capsys):
         main(["check", "--class", "interval-b", reject_file])
         first = capsys.readouterr().out
@@ -221,6 +236,25 @@ class TestGenerateAndCrossValidate:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
 
+    def test_generate_order_cap(self, capsys, monkeypatch):
+        import itensor.cli as cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(spec):
+            raise Reached((spec.order, spec.dim))
+
+        monkeypatch.setattr(cli, "random_interval_tensor", reached)
+        # The cap itself is reached: one entry per bound, order 64.
+        with pytest.raises(Reached):
+            main(["generate", "--m", str(cli.MAX_ORDER), "--n", "1"])
+        for m in ("65", "10000000", "1000000000"):
+            assert main(["generate", "--m", m, "--n", "1"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: order must be <= 64, got {m}\n"
+
     def test_cross_validate(self, capsys):
         code = main(["cross-validate", "--trials", "25", "--seed", "3",
                      "--m", "3", "--n", "2"])
@@ -230,6 +264,68 @@ class TestGenerateAndCrossValidate:
         assert body["trials"] == 25
         assert body["counterexamples"] == []
         assert "double_b_implies_b_refuted" in body["inclusion_probe"]
+
+
+class TestParserReuse:
+    def _calls(self, tmp_path, reject_file, accept_file):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"order": 3, "dim": 2,
+                                     "entries": [6, 0, 0, 0, 0, 0, 0, 6]}))
+        return [
+            ["check", "--class", "interval-b", "--method", "slack", reject_file],
+            ["check", "--class", "interval-b", reject_file],
+            ["check", "--class", "interval-double-b", "--epsilon", "0.5",
+             "--format", "text", accept_file],
+            ["check", "--class", "interval-double-b", accept_file],
+            ["check", "--class", "b", "--method", "rowsum_gamma", str(point)],
+            ["check", "--class", "p-falsify", "--budget", "7", "--seed", "2",
+             str(point)],
+            ["classify", reject_file],
+            ["classify", str(point)],
+            ["generate", "--m", "3", "--n", "2", "--seed", "4",
+             "--structure", "circulant"],
+            ["generate", "--m", "3", "--n", "2"],
+            ["cross-validate", "--trials", "3", "--seed", "5"],
+            ["check", "--class", "nope", reject_file],
+            ["check", "--class", "b", "--epsilon", "-1", str(point)],
+            ["--help"],
+            ["check", "--help"],
+            [],
+        ]
+
+    def _run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_match_fresh_parsers(
+        self, tmp_path, reject_file, accept_file, capsys
+    ):
+        calls = self._calls(tmp_path, reject_file, accept_file)
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert [code for code, _, _ in fresh] == [
+            1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 3, 3, 0, 0, 3]
+        # One cached parser, every call in order and then in reverse order.
+        for order in (calls, calls[::-1]):
+            got = [self._run(argv, capsys) for argv in order]
+            want = fresh if order is calls else fresh[::-1]
+            assert got == want
+
+    def test_usage_error_and_help_after_caching(self, capsys):
+        parser = build_parser()
+        assert main(["check"]) == 3
+        assert "usage: itensor check" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage: itensor" in capsys.readouterr().out
+        assert main(["generate", "--m", "x", "--n", "2"]) == 3
+        assert "invalid int value" in capsys.readouterr().err
+        assert build_parser() is parser
 
 
 class TestConsoleEntry:

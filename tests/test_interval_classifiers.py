@@ -4,6 +4,7 @@ from itensor import (
     GeneratorSpec,
     Status,
     boundary_interval,
+    check_b,
     check_double_b,
     check_interval_b,
     check_interval_b_zfast,
@@ -25,8 +26,10 @@ from itensor import (
     oracle_interval_b,
     oracle_interval_double_b,
     random_interval_tensor,
+    row_sum,
 )
 from itensor.interval_classify import INTERVAL_B_METHODS, interval_verdict_report
+from itensor.tensor import ordered_sum
 
 ALL_METHODS = pytest.mark.parametrize("method", INTERVAL_B_METHODS)
 
@@ -550,3 +553,63 @@ class TestTolerance:
         assert not check_interval_b(B, "pairwise").holds()
         assert check_interval_b(B, "pairwise", tol=0.25).holds()
         assert check_interval_double_b(B, tol=0.25).holds()
+
+
+def _neumaier_sum(xs, start=0):
+    """A compensated float sum, as the builtin ``sum`` computes from
+    Python 3.12 on."""
+    s, c = float(start), 0.0
+    for x in xs:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c
+
+
+class TestOrderedSums:
+    """Row sums add left to right whatever the Python version: the verdicts
+    and ledger values must not move when ``sum`` compensates."""
+
+    # Row 0 sums to -0.5 left to right and to 0.5 compensated; row 1's
+    # off-diagonal lower entries (all upper bounds nonpositive) sum to
+    # -1e16 left to right and to -1e16 - 2 compensated.
+    ROWS = [1.0, 1e16, -1e16, -0.5,
+            -1.0, 9.0, -1e16, -1.0,
+            0.0, 0.0, 9.0, 0.0,
+            0.0, 0.0, 0.0, 9.0]
+
+    def _outcomes(self):
+        T = make_tensor(2, 4, self.ROWS)
+        upper = T.entries + 0.25
+        upper[[4, 6, 7]] = [-0.75, -1e16, -0.75]
+        AI = make_interval(T, make_tensor(2, 4, upper))
+        out = [repr(row_sum(T, i)) for i in range(4)]
+        for v in [check_b(T, m) for m in ("definition", "rowsum_gamma")] + [
+            check_interval_b(AI, m) for m in INTERVAL_B_METHODS
+        ]:
+            w = v.witness
+            out.append((v.status, None if w is None else (
+                w.row, w.condition, repr(w.lhs), repr(w.rhs))))
+            out += [(r.condition, r.rows, repr(r.lhs), repr(r.rhs), r.passed)
+                    for r in getattr(v, "conditions", ())]
+        for variant in ("extremes", "rowmax"):
+            rep = interval_double_b_necessary(AI, variant)
+            out += [(r.condition, r.rows, repr(r.lhs), repr(r.rhs), r.passed)
+                    for r in rep.records]
+        return out
+
+    def test_compensated_builtin_sum_changes_nothing(self, monkeypatch):
+        import builtins
+
+        row0, row1_od = self.ROWS[:4], [-1.0, -1e16, -1.0]
+        assert ordered_sum(row0) == -0.5 and _neumaier_sum(row0) == 0.5
+        assert ordered_sum(row1_od) == -1e16
+        assert _neumaier_sum(row1_od) == -1e16 - 2
+        plain = self._outcomes()
+        assert plain[0] == "-0.5"
+        assert plain[4] == (Status.FAILS, (1, "a", "-0.5", "0.0"))
+        assert ("b2", (2,), "9.0", "1e+16", False) in plain
+        with monkeypatch.context() as mp:
+            mp.setattr(builtins, "sum", _neumaier_sum)
+            assert sum(row0) == 0.5
+            assert self._outcomes() == plain

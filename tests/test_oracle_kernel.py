@@ -4,7 +4,8 @@
 ``reference_oracle_double_b`` are the oracle as it was before its vertices
 became blocks of one array: one ``Tensor`` per vertex, built by toggling
 selector bits in a Python loop, and the scalar ``check_b`` /
-``check_double_b`` on each.  Every ``OracleVerdict`` field of the array
+``check_double_b`` on each.  ``reference_belt`` draws the interior members
+one ``Tensor`` at a time from the same single generator the oracle uses.  Every ``OracleVerdict`` field of the array
 oracle must match them: status, method, the witness with both sides
 compared through ``float.hex`` (a zero of the wrong sign is a mismatch),
 the failing member's entries and ``vertices_checked``.
@@ -36,6 +37,7 @@ from itensor.oracle import OracleVerdict
 from itensor.tensor import diag_tail_flat
 
 TOLS = (0.0, 1e-9, 0.5)
+DOUBLE_B_FAILURE = oracle._double_b_failure
 
 
 def reference_vertices(AI, limit=DEFAULT_VERTEX_LIMIT):
@@ -70,6 +72,17 @@ def reference_oracle_b(AI, limit=DEFAULT_VERTEX_LIMIT, tol=0.0):
     return OracleVerdict(Status.HOLDS, "vertex_b", vertices_checked=checked)
 
 
+def reference_belt(AI, interior_members, member_seed):
+    """The interior members, one ``Tensor`` each: uniform draws in the box
+    from one generator, ``interior_members`` entry blocks in draw order."""
+    rng = np.random.default_rng(member_seed * 1_000_003)
+    lower = AI.lower.entries
+    upper = AI.upper.entries
+    for _ in range(interior_members):
+        u = rng.uniform(0.0, 1.0, size=lower.size)
+        yield Tensor(AI.order, AI.dim, lower + u * (upper - lower))
+
+
 def reference_oracle_double_b(
     AI, limit=DEFAULT_VERTEX_LIMIT, tol=0.0, interior_members=64, member_seed=0,
     vertices=True,
@@ -82,8 +95,7 @@ def reference_oracle_double_b(
             return OracleVerdict(
                 Status.FAILS, "vertex_double_b", v.witness, T, checked
             )
-    for k in range(interior_members):
-        T = random_member(AI, seed=member_seed * 1_000_003 + k)
+    for T in reference_belt(AI, interior_members, member_seed):
         v = check_double_b(T, tol=tol)
         if not v.holds():
             return OracleVerdict(
@@ -260,6 +272,72 @@ def test_interior_belt(monkeypatch):
             assert _fields(got) == _fields(ref)
             outcomes.add(got.method)
     assert outcomes == {"interior_double_b", "vertex_double_b"}
+
+
+def _belt_rows(monkeypatch, AI, **kw):
+    """The blocks the oracle hands to the double B array check when it has
+    no vertex blocks: the interior belt, if it is drawn at all."""
+    seen = []
+
+    def spy(rows, AI, tol):
+        seen.append(rows.copy())
+        return DOUBLE_B_FAILURE(rows, AI, tol)
+
+    monkeypatch.setattr(oracle, "vertex_blocks", lambda AI, limit: iter(()))
+    monkeypatch.setattr(oracle, "_double_b_failure", spy)
+    verdict = oracle_interval_double_b(AI, **kw)
+    return verdict, seen
+
+
+def _belt_families():
+    yield random_interval_tensor(GeneratorSpec(3, 2, seed=5))
+    yield boundary_interval(2, 3)
+    for seed in range(4):
+        yield _off_grid(3, 2, seed + 90, signed_zeros=True)
+        yield _off_grid(2, 3, seed + 95)
+    yield degenerate_interval(make_tensor(3, 2, [-0.0] * 8))
+    yield make_interval(make_tensor(2, 2, [-0.0, -1.0, -0.0, 2.0]),
+                        make_tensor(2, 2, [0.0, -1.0, 1e-300, 2.0]))
+
+
+def test_belt_rows_lie_in_the_box(monkeypatch):
+    for member_seed in (0, 3):
+        for AI in _belt_families():
+            _, seen = _belt_rows(monkeypatch, AI, member_seed=member_seed)
+            (rows,) = seen
+            assert rows.shape == (64, AI.lower.entries.size)
+            assert (rows >= AI.lower.entries).all()
+            assert (rows <= AI.upper.entries).all()
+            pinned = AI.lower.entries == AI.upper.entries
+            assert (rows[:, pinned] == AI.lower.entries[pinned]).all()
+
+
+def test_belt_first_row_is_random_member(monkeypatch):
+    for member_seed in (0, 1, 12345):
+        for AI in _belt_families():
+            _, (rows,) = _belt_rows(monkeypatch, AI, member_seed=member_seed)
+            first = random_member(AI, seed=member_seed * 1_000_003).entries
+            assert rows[0].tobytes() == first.tobytes()
+
+
+def test_belt_sizes_zero_and_one(monkeypatch):
+    # A family whose belt fails: with no belt the oracle has nothing left
+    # to check and holds; a belt of one member is decided like the reference.
+    failing = []
+    for seed in range(12):
+        AI = _narrow(random_interval_tensor(GeneratorSpec(3, 2, seed=seed + 80)), 8, seed)
+        ref = reference_oracle_double_b(AI, member_seed=seed, interior_members=1,
+                                        vertices=False)
+        got, seen = _belt_rows(monkeypatch, AI, member_seed=seed, interior_members=1)
+        assert [len(rows) for rows in seen] == [1]
+        assert _fields(got) == _fields(ref)
+        if ref.method == "interior_double_b":
+            failing.append(seed)
+            got, seen = _belt_rows(monkeypatch, AI, member_seed=seed,
+                                   interior_members=0)
+            assert seen == []
+            assert got.holds() and got.vertices_checked == 0
+    assert failing
 
 
 def test_budget_exceeded_required(family_double_b):

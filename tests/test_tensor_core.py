@@ -22,7 +22,7 @@ from itensor import (
     tensor_to_json,
     zeros,
 )
-from itensor.tensor import tensor_apply_many
+from itensor.tensor import MAX_ORDER, tensor_apply_many
 
 
 def small_tensors(max_order=3, max_dim=3):
@@ -67,6 +67,20 @@ class TestMakeTensor:
             make_tensor(1, 2, [1.0, 2.0])
         with pytest.raises(ValueError):
             make_tensor(2, 0, [])
+
+    def test_order_cap_before_allocation(self):
+        class NotEntries:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("entries converted")
+
+            def __len__(self):
+                raise AssertionError("entries measured")
+
+        for order in (MAX_ORDER + 1, 3_000_000, 10**30):
+            with pytest.raises(ValueError, match=f"order must be <= {MAX_ORDER}"):
+                make_tensor(order, 2, NotEntries())
+        T = make_tensor(MAX_ORDER, 1, [2.5])
+        assert T.nd.shape == (1,) * MAX_ORDER
 
     def test_entries_frozen(self):
         T = make_tensor(2, 2, [1.0, 2.0, 3.0, 4.0])
