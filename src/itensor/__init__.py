@@ -6,6 +6,9 @@ interval-family criteria in :mod:`itensor.interval_classify`; the dense
 tensor and interval data models in :mod:`itensor.tensor` and
 :mod:`itensor.interval`; vertex-exhaustive ground truth and the
 cross-validation suite in :mod:`itensor.oracle`.
+
+All of them return one verdict type, :class:`Verdict`, and
+:func:`itensor.classify.verdict_report` is its one report writer.
 """
 
 __version__ = "0.1.0"
@@ -65,7 +68,6 @@ from .interval import (  # noqa: F401
 )
 from .interval_classify import (  # noqa: F401
     ConditionRecord,
-    IntervalVerdict,
     IntervalDichotomy,
     NecessaryReport,
     check_interval_b,
@@ -82,7 +84,6 @@ from .interval_classify import (  # noqa: F401
 )
 from .oracle import (  # noqa: F401
     GeneratorSpec,
-    OracleVerdict,
     SuiteReport,
     oracle_interval_b,
     oracle_interval_double_b,

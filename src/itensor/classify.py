@@ -80,9 +80,20 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of every criterion: point, interval and vertex oracle.
+
+    ``conditions`` is the interval criteria's condition ledger (an
+    ``interval_classify.Ledger``, empty elsewhere); ``failing_tensor`` and
+    ``vertices_checked`` are the vertex oracle's failing member and the
+    number of vertices it checked.
+    """
+
     status: Status
     method: str
     witness: Witness | None = None
+    conditions: Sequence = ()
+    failing_tensor: Tensor | None = None
+    vertices_checked: int = 0
 
     def holds(self) -> bool:
         return self.status is Status.HOLDS
@@ -173,11 +184,7 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
                         if row[f] == g:
                             tail = tail1(A, f)
                             break
-                return Verdict(
-                    Status.FAILS,
-                    method,
-                    Witness(i1 + 1, cond, s, r * g, tail),
-                )
+                return _fails(method, i1, cond, s, r * g, tail)
         else:  # slack
             lhs, rhs = _slack_parts(A, i1)
             if not _gt(lhs, rhs, tol):
@@ -360,7 +367,8 @@ def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
 
 
 def verdict_report(v: Verdict, class_id: str) -> dict:
-    """Serializable report form of a verdict."""
+    """Serializable report form of a verdict; a condition ledger is added as
+    a lazy sequence of dicts, not a list."""
     out = {"class": class_id, "method": v.method, "status": v.status.value}
     if v.witness is not None:
         w = v.witness
@@ -372,4 +380,6 @@ def verdict_report(v: Verdict, class_id: str) -> dict:
         if w.pair_tail is not None:
             wd["pair_index"] = list(w.pair_tail)
         out["witness"] = wd
+    if v.conditions:
+        out["conditions"] = v.conditions.dicts()
     return out

@@ -22,6 +22,7 @@ from .tensor import (
     Tensor,
     diag_tail_flat,
     is_symmetric,
+    json_order_dim,
     make_tensor,
     offdiag_tail_flats,
     tail_to_flat,
@@ -375,21 +376,7 @@ def interval_to_json(AI: IntervalTensor) -> dict:
 
 def interval_from_json(obj) -> IntervalTensor:
     """Parse the interval file schema, rejecting malformed input."""
-    if not isinstance(obj, dict):
-        raise ValueError("interval JSON must be an object")
-    for key in ("order", "dim", "lower", "upper"):
-        if key not in obj:
-            raise ValueError(f"interval JSON missing key {key!r}")
-    order, dim = obj["order"], obj["dim"]
-    if not isinstance(order, int) or not isinstance(dim, int):
-        raise ValueError("order and dim must be integers")
-    for key in ("lower", "upper"):
-        arr = obj[key]
-        if not isinstance(arr, list):
-            raise ValueError(f"{key} must be an array of numbers")
-        for k, v in enumerate(arr):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{key}[{k}] is not a number")
+    order, dim = json_order_dim(obj, "interval", ("lower", "upper"))
     return make_interval(
         make_tensor(order, dim, obj["lower"]),
         make_tensor(order, dim, obj["upper"]),

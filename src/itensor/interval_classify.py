@@ -10,12 +10,14 @@ Necessary-condition reports and the sufficient hat criterion bracket the
 exact tests from both sides, and the dichotomy separates the strict
 interval-B case from the unique critical row.
 
-Verdicts carry the full ledger of evaluated conditions so a reported status
-can be recomputed from the inputs.  A :class:`Ledger` is a sequence of
-:class:`ConditionRecord` stored as columns, one block per run of a
-condition id, and builds each record only when it is read; the double-B
-test fills its blocks as numpy arrays, the other criteria from Python
-lists.  ``interval_verdict_report(...)["conditions"]`` is likewise a lazy
+Every criterion returns the package's one :class:`~itensor.classify.Verdict`,
+whose ``conditions`` carry the full ledger of evaluated conditions so a
+reported status can be recomputed from the inputs.  A :class:`Ledger` is a
+sequence of :class:`ConditionRecord` stored as columns, one block per run
+of a condition id, and builds each record only when it is read; the
+double-B test fills its blocks as numpy arrays, the other criteria from
+Python lists.  ``verdict_report`` (also bound here as
+``interval_verdict_report``) writes it as ``Ledger.dicts()``, a lazy
 sequence of dicts, not a list.  Rows and trailing indices in records and
 witnesses are 1-based.
 """
@@ -37,6 +39,7 @@ from .classify import (
     Witness,
     DichotomyAnomaly,
     check_double_b,
+    verdict_report,
     _ge,
     _gt,
 )
@@ -53,6 +56,7 @@ from .tensor import (
     is_circulant,
     offdiag_tail_flats,
     ordered_sum,
+    row_layout,
     tail1,
 )
 
@@ -61,7 +65,6 @@ __all__ = [
     "LedgerBlock",
     "Ledger",
     "LedgerDicts",
-    "IntervalVerdict",
     "IntervalDichotomy",
     "NecessaryReport",
     "INTERVAL_B_METHODS",
@@ -197,6 +200,10 @@ class Ledger(Sequence):
             None if b.pair_tails is None else tail1(self, b.pair_tails[k]),
         )
 
+    def dicts(self) -> LedgerDicts:
+        """The report form: each record as a dict, built on access."""
+        return LedgerDicts(self)
+
     def first_failure(self) -> ConditionRecord | None:
         """The first record whose inequality failed, in ledger order."""
         for b in self.blocks:
@@ -289,17 +296,6 @@ class _LedgerBuilder:
 
 
 @dataclass(frozen=True)
-class IntervalVerdict:
-    status: Status
-    method: str
-    witness: Witness | None = None
-    conditions: Ledger | tuple = ()
-
-    def holds(self) -> bool:
-        return self.status is Status.HOLDS
-
-
-@dataclass(frozen=True)
 class IntervalDichotomy:
     """kind is ``interval_b``, ``critical_row`` or ``not_double_b``; a
     critical row reports its 1-based index and which row condition failed
@@ -358,10 +354,10 @@ class _Rows:
         return None if k is None else self.urow[i1][k]
 
 
-def _verdict(method: str, ledger: Ledger) -> IntervalVerdict:
+def _verdict(method: str, ledger: Ledger) -> Verdict:
     rec = ledger.first_failure()
     if rec is None:
-        return IntervalVerdict(Status.HOLDS, method, None, ledger)
+        return Verdict(Status.HOLDS, method, conditions=ledger)
     witness = Witness(
         rec.rows[0],
         rec.condition,
@@ -371,12 +367,12 @@ def _verdict(method: str, ledger: Ledger) -> IntervalVerdict:
         rec.rows[1] if len(rec.rows) > 1 else None,
         rec.pair_tail,
     )
-    return IntervalVerdict(Status.FAILS, method, witness, ledger)
+    return Verdict(Status.FAILS, method, witness, ledger)
 
 
 def check_interval_b(
     AI: IntervalTensor, method: str = "theorem", tol: float = 0.0
-) -> IntervalVerdict:
+) -> Verdict:
     """Decide whether every member of the box is a B-tensor.
 
     theorem: lower row sums positive, and for each off-diagonal position j
@@ -437,7 +433,7 @@ def check_interval_b(
     return _verdict(f"interval_b_{method}", led.ledger())
 
 
-def check_interval_b_zfast(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
+def check_interval_b_zfast(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Fast B-family test for interval Z tensors: positive lower row sums
     alone decide membership."""
     if not is_interval_z(AI):
@@ -482,16 +478,9 @@ def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryRepor
 
 
 class _DoubleBLayout(NamedTuple):
-    """Index arrays and per-block index columns of the double-B ledger for
-    one (order, dim); columns are tuples of 0-based rows and flat tails."""
+    """Index columns of the double-B ledger blocks for one (order, dim):
+    tuples of 0-based rows and flat tails."""
 
-    diag: np.ndarray  # (n,) position of each row's diagonal in the entries
-    od: np.ndarray  # (n, q) positions of each row's off-diagonals, ascending
-    own: np.ndarray  # arange(q)
-    iu: np.ndarray  # row pairs i < j, lexicographic
-    ju: np.ndarray
-    ii: np.ndarray  # ordered row pairs i != j, lexicographic
-    jj: np.ndarray
     rows: tuple  # a, b2
     b1: tuple  # (rows, tails)
     c1: tuple  # (rows, pair_rows, tails, pair_tails)
@@ -501,30 +490,22 @@ class _DoubleBLayout(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _double_b_layout(order: int, dim: int) -> _DoubleBLayout:
-    n, r = dim, dim ** (order - 1)
-    q = r - 1
+    lay = row_layout(order, dim)
+    n, q = lay.od.shape
     row_ids = np.arange(n)
-    diag = np.array([diag_tail_flat(i, order, n) for i in range(n)], dtype=np.intp)
-    od = np.array(
-        [np.delete(np.arange(r), diag[i]) for i in range(n)], dtype=np.intp
-    ).reshape(n, q)
-    base = row_ids[:, None] * r
-    iu, ju = np.triu_indices(n, 1)
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    pairs = len(iu)
+    iu, ju, ii, jj, od = lay.iu, lay.ju, lay.ii, lay.jj, lay.od
 
     def col(a) -> tuple:
         return tuple(np.asarray(a).ravel().tolist())
 
     return _DoubleBLayout(
-        base[:, 0] + diag, base + od, np.arange(q), iu, ju, ii, jj,
         rows=col(row_ids),
         b1=(col(np.repeat(row_ids, q)), col(od)),
         c1=(
             col(np.repeat(iu, q * q)),
             col(np.repeat(ju, q * q)),
-            col(np.broadcast_to(od[iu][:, :, None], (pairs, q, q))),
-            col(np.broadcast_to(od[ju][:, None, :], (pairs, q, q))),
+            col(np.broadcast_to(od[iu][:, :, None], (len(iu), q, q))),
+            col(np.broadcast_to(od[ju][:, None, :], (len(iu), q, q))),
         ),
         c2=(col(np.repeat(ii, q)), col(np.repeat(jj, q)), col(od[ii])),
         c3=(col(iu), col(ju)),
@@ -537,7 +518,7 @@ def _pos(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
+def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Decide whether every member of the box is a double B-tensor.
 
     Six endpoint conditions, evaluated exhaustively and recorded:
@@ -563,18 +544,21 @@ def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> IntervalVer
     double the scalar definition gives: differences and products are
     elementwise, and sums run from +0.0 in ascending offset order.
     """
+    idx = row_layout(AI.order, AI.dim)
     lay = _double_b_layout(AI.order, AI.dim)
-    n, q = lay.od.shape
-    ldiag = AI.lower.entries[lay.diag]
-    lod = AI.lower.entries[lay.od]
-    uod = AI.upper.entries[lay.od]
+    n, q = idx.od.shape
+    rows = np.arange(n)
+    lower = AI.lower.entries.reshape(n, -1)
+    ldiag = lower[rows, idx.diag]
+    lod = lower[rows[:, None], idx.od]
+    uod = AI.upper.entries.reshape(n, -1)[rows[:, None], idx.od]
 
     a_rhs = _pos(uod.max(axis=1, initial=0.0))
     gap = ldiag[:, None] - uod
     # terms[i, k, t] = u[i, k] - l[i, t]; position k skips itself, and
     # adding +0.0 leaves a sum that starts from +0.0 unchanged.
     terms = uod[:, :, None] - lod[:, None, :]
-    terms[:, lay.own, lay.own] = 0.0
+    terms[:, np.arange(q), np.arange(q)] = 0.0
     slack = np.zeros((n, q))
     lsum = np.zeros(n)
     for t in range(q):
@@ -583,7 +567,7 @@ def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> IntervalVer
     b1_rhs = _pos(slack)
     negsum = _pos(-lsum)
 
-    iu, ju, ii, jj = lay.iu, lay.ju, lay.ii, lay.jj
+    iu, ju, ii, jj = idx.iu, idx.ju, idx.ii, idx.jj
     c1_lhs = (gap[iu][:, :, None] * gap[ju][:, None, :]).ravel()
     c1_rhs = (b1_rhs[iu][:, :, None] * b1_rhs[ju][:, None, :]).ravel()
     c2_lhs = (gap[ii] * ldiag[jj][:, None]).ravel()
@@ -718,9 +702,7 @@ def interval_double_b_necessary(
     return NecessaryReport("rowmax", ledger.first_failure() is None, ledger)
 
 
-def check_interval_double_b_dominance(
-    AI: IntervalTensor, tol: float = 0.0
-) -> IntervalVerdict:
+def check_interval_double_b_dominance(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Exact double-B test under the per-row dominance hypothesis.
 
     Requires dim >= 3 and, in every row, one off-diagonal position whose
@@ -731,7 +713,7 @@ def check_interval_double_b_dominance(
     """
     method = "double_b_dominance"
     if AI.dim < 3:
-        return IntervalVerdict(Status.INCONCLUSIVE, method)
+        return Verdict(Status.INCONCLUSIVE, method)
     rows = _Rows(AI)
     for i1 in range(AI.dim):
         lrow, urow = rows.lrow[i1], rows.urow[i1]
@@ -745,34 +727,32 @@ def check_interval_double_b_dominance(
             # bound elsewhere in the row that blocks it.
             best = max(rows.od[i1], key=lambda t: lrow[t])
             block = max(urow[t] for t in rows.od[i1] if t != best)
-            return IntervalVerdict(
+            return Verdict(
                 Status.INCONCLUSIVE,
                 method,
                 Witness(i1 + 1, "hypothesis", lrow[best], block, tail1(AI, best)),
             )
     report = interval_double_b_necessary(AI, "extremes", tol=tol)
     if report.passed:
-        return IntervalVerdict(Status.HOLDS, method)
+        return Verdict(Status.HOLDS, method)
     for _, v in report.member_verdicts:
         if not v.holds():
-            return IntervalVerdict(Status.FAILS, method, v.witness)
+            return Verdict(Status.FAILS, method, v.witness)
     raise AssertionError("unreachable: failing report without failing member")
 
 
-def check_interval_double_b_zfast(
-    AI: IntervalTensor, tol: float = 0.0
-) -> IntervalVerdict:
+def check_interval_double_b_zfast(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Fast double-B test for interval Z tensors: the family is interval
     double B exactly when its lower bound tensor is a double B-tensor."""
     if not is_interval_z(AI):
         raise ValueError("interval is not an interval Z tensor")
     v = check_double_b(AI.lower, tol=tol)
-    return IntervalVerdict(v.status, "interval_double_b_zfast", v.witness)
+    return Verdict(v.status, "interval_double_b_zfast", v.witness)
 
 
 def check_interval_double_b_hat_sufficient(
     AI: IntervalTensor, tol: float = 0.0
-) -> IntervalVerdict:
+) -> Verdict:
     """Sufficient double-B test via the hat rearrangement (never FAILS).
 
     Requires every row's largest off-diagonal lower bound to be
@@ -786,18 +766,18 @@ def check_interval_double_b_hat_sufficient(
             continue
         maxl = max(rows.lrow[i1][t] for t in rows.od[i1])
         if not _ge(maxl, 0.0, tol):
-            return IntervalVerdict(
+            return Verdict(
                 Status.INCONCLUSIVE,
                 method,
                 Witness(i1 + 1, "hypothesis", maxl, 0.0),
             )
     v = check_double_b(extreme_hat(AI), tol=tol)
     if v.holds():
-        return IntervalVerdict(Status.HOLDS, method)
-    return IntervalVerdict(Status.INCONCLUSIVE, method, v.witness)
+        return Verdict(Status.HOLDS, method)
+    return Verdict(Status.INCONCLUSIVE, method, v.witness)
 
 
-def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
+def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Row-0 criterion for families with circulant bounds.
 
     For circulant bounds the interval B and interval double B classes
@@ -818,41 +798,26 @@ def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> IntervalVe
     return _verdict("interval_circulant", led.ledger())
 
 
-def interval_p_sufficient(AI: IntervalTensor, tol: float = 0.0) -> IntervalVerdict:
+def interval_p_sufficient(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Sufficient conditions for the interval P class (never FAILS).
 
     Holds for even order when the family is interval B and either interval
     Z or symmetric, or when it is symmetric and interval double B.
     """
     if AI.order % 2 != 0:
-        return IntervalVerdict(Status.INCONCLUSIVE, "even_order_required")
+        return Verdict(Status.INCONCLUSIVE, "even_order_required")
     z = is_interval_z(AI)
     sym = is_symmetric_interval(AI)
     if z or sym:
         ib = check_interval_b(AI, tol=tol)
         if z and ib.holds():
-            return IntervalVerdict(Status.HOLDS, "interval_z_and_interval_b")
+            return Verdict(Status.HOLDS, "interval_z_and_interval_b")
         if sym and ib.holds():
-            return IntervalVerdict(Status.HOLDS, "symmetric_and_interval_b")
+            return Verdict(Status.HOLDS, "symmetric_and_interval_b")
         if sym and check_interval_double_b(AI, tol=tol).holds():
-            return IntervalVerdict(Status.HOLDS, "symmetric_and_interval_double_b")
-    return IntervalVerdict(Status.INCONCLUSIVE, "no_sufficient_branch")
+            return Verdict(Status.HOLDS, "symmetric_and_interval_double_b")
+    return Verdict(Status.INCONCLUSIVE, "no_sufficient_branch")
 
 
-def interval_verdict_report(v: IntervalVerdict, class_id: str) -> dict:
-    """Serializable report form, including the condition ledger as a lazy
-    sequence of dicts."""
-    out = {"class": class_id, "method": v.method, "status": v.status.value}
-    if v.witness is not None:
-        w = v.witness
-        wd = {"row": w.row, "condition": w.condition, "lhs": w.lhs, "rhs": w.rhs}
-        if w.tail is not None:
-            wd["index"] = list(w.tail)
-        if w.pair_row is not None:
-            wd["pair_row"] = w.pair_row
-        if w.pair_tail is not None:
-            wd["pair_index"] = list(w.pair_tail)
-        out["witness"] = wd
-    if v.conditions:
-        out["conditions"] = LedgerDicts(v.conditions)
-    return out
+# perfbench traces this name; renaming it needs a change to the benchmark.
+interval_verdict_report = verdict_report

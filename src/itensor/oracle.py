@@ -46,13 +46,13 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .classify import (
     B_METHODS,
     Status,
+    Verdict,
     Witness,
     check_b,
     check_double_b,
@@ -86,14 +86,14 @@ from .tensor import (
     diag_tail_flat,
     is_circulant,
     make_tensor,
+    orbit_map,
+    row_layout,
     row_mix,
     tail1,
-    tail_to_flat,
 )
 
 __all__ = [
     "GeneratorSpec",
-    "OracleVerdict",
     "SuiteReport",
     "oracle_interval_b",
     "oracle_interval_double_b",
@@ -132,34 +132,34 @@ class GeneratorSpec:
             raise ValueError(f"unknown structure {self.structure!r}")
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    """Vertex-exhaustive verdict, carrying the failing member when any."""
+def _failed(
+    method: str, AI: IntervalTensor, rows: np.ndarray, hit, checked: int
+) -> Verdict:
+    v, w = hit
+    member = Tensor(AI.order, AI.dim, rows[v].copy())
+    return Verdict(Status.FAILS, method, w, failing_tensor=member,
+                   vertices_checked=checked)
 
-    status: Status
-    method: str
-    witness: Witness | None = None
-    failing_tensor: Tensor | None = None
-    vertices_checked: int = 0
 
-    def holds(self) -> bool:
-        return self.status is Status.HOLDS
+def _vertex_scan(
+    AI: IntervalTensor, limit: int, tol: float, failure, method: str
+) -> Verdict:
+    """Decide every vertex block with the array check ``failure``: FAILS at
+    the first failing vertex, else HOLDS with the number of vertices."""
+    checked = 0
+    for start, rows in vertex_blocks(AI, limit):
+        hit = failure(rows, AI, tol)
+        if hit is not None:
+            return _failed(method, AI, rows, hit, start + hit[0] + 1)
+        checked = start + len(rows)
+    return Verdict(Status.HOLDS, method, vertices_checked=checked)
 
 
 def oracle_interval_b(
     AI: IntervalTensor, limit: int = DEFAULT_VERTEX_LIMIT, tol: float = 0.0
-) -> OracleVerdict:
+) -> Verdict:
     """Interval B membership by checking the B criterion at every vertex."""
-    checked = 0
-    for start, rows in vertex_blocks(AI, limit):
-        hit = _b_failure(rows, AI, tol)
-        if hit is not None:
-            v, w = hit
-            return OracleVerdict(
-                Status.FAILS, "vertex_b", w, _member(AI, rows[v]), start + v + 1
-            )
-        checked = start + len(rows)
-    return OracleVerdict(Status.HOLDS, "vertex_b", vertices_checked=checked)
+    return _vertex_scan(AI, limit, tol, _b_failure, "vertex_b")
 
 
 def oracle_interval_double_b(
@@ -168,49 +168,21 @@ def oracle_interval_double_b(
     tol: float = 0.0,
     interior_members: int = 64,
     member_seed: int = 0,
-) -> OracleVerdict:
+) -> Verdict:
     """Interval double B membership by vertex exhaustion plus a belt of
     random interior members."""
-    checked = 0
-    for start, rows in vertex_blocks(AI, limit):
-        hit = _double_b_failure(rows, AI, tol)
-        if hit is not None:
-            v, w = hit
-            return OracleVerdict(
-                Status.FAILS, "vertex_double_b", w, _member(AI, rows[v]),
-                start + v + 1,
-            )
-        checked = start + len(rows)
-    if interior_members > 0:
+    verdict = _vertex_scan(AI, limit, tol, _double_b_failure, "vertex_double_b")
+    if verdict.holds() and interior_members > 0:
         rng = np.random.default_rng(member_seed * 1_000_003)
         lo = AI.lower.entries
         span = AI.upper.entries - lo
         rows = lo + rng.uniform(0.0, 1.0, size=(interior_members, span.size)) * span
         hit = _double_b_failure(rows, AI, tol)
         if hit is not None:
-            v, w = hit
-            return OracleVerdict(
-                Status.FAILS, "interior_double_b", w, _member(AI, rows[v]), checked
+            return _failed(
+                "interior_double_b", AI, rows, hit, verdict.vertices_checked
             )
-    return OracleVerdict(Status.HOLDS, "vertex_double_b", vertices_checked=checked)
-
-
-def _member(AI: IntervalTensor, row: np.ndarray) -> Tensor:
-    return Tensor(AI.order, AI.dim, row.copy())
-
-
-@lru_cache(maxsize=None)
-def _layout(order: int, dim: int):
-    """Per-shape index arrays of the array checks: the diagonal offset of
-    each row, the (r, n) mask of off-diagonal positions by offset and row,
-    and the row pairs i < j in lexicographic order."""
-    r = dim ** (order - 1)
-    diag = np.array([diag_tail_flat(i, order, dim) for i in range(dim)])
-    offdiag = np.arange(r)[:, None] != diag[None, :]
-    pair_i, pair_j = np.triu_indices(dim, 1)
-    for arr in (diag, offdiag, pair_i, pair_j):
-        arr.setflags(write=False)  # shared by every caller of the cache
-    return diag, offdiag, pair_i, pair_j
+    return verdict
 
 
 def _first_failure(fails: np.ndarray) -> tuple[int, int] | None:
@@ -232,7 +204,7 @@ def _b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
     witness is bit for bit the scalar one.
     """
     m, n = AI.order, AI.dim
-    diag, _, _, _ = _layout(m, n)
+    diag = row_layout(m, n).diag
     r = AI.row_len
     block = rows.reshape(len(rows), n, r)
     total = np.zeros((len(rows), n))
@@ -270,7 +242,8 @@ def _double_b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
     bit the scalar one.
     """
     m, n = AI.order, AI.dim
-    diag, offdiag, pair_i, pair_j = _layout(m, n)
+    lay = row_layout(m, n)
+    diag, offdiag, pair_i, pair_j = lay.diag, lay.offdiag, lay.iu, lay.ju
     r = AI.row_len
     block = rows.reshape(len(rows), n, r)
     d = block[:, np.arange(n), diag]
@@ -359,17 +332,13 @@ def random_interval_tensor(spec: GeneratorSpec) -> IntervalTensor:
 
 
 def _orbit_average(arr: np.ndarray, m: int, n: int) -> np.ndarray:
-    shape = (n,) * m
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    canon = np.empty(arr.size, dtype=np.int64)
-    for f in range(arr.size):
-        idx = np.unravel_index(f, shape)
-        c = tail_to_flat(sorted(int(v) for v in idx), n)
-        canon[f] = c
-        sums[c] = sums.get(c, 0.0) + float(arr[f])
-        counts[c] = counts.get(c, 0) + 1
-    return np.array([sums[canon[f]] / counts[canon[f]] for f in range(arr.size)])
+    """Each entry replaced by the mean over its permutation orbit; each
+    orbit sums from +0.0 in ascending position order (bincount adds its
+    weights in input order)."""
+    canon = orbit_map(m, n)
+    sums = np.bincount(canon, weights=arr)
+    counts = np.bincount(canon)
+    return sums[canon] / counts[canon]
 
 
 def random_member(AI: IntervalTensor, seed: int) -> Tensor:

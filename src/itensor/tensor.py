@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,10 @@ __all__ = [
     "tail1",
     "diag_tail_flat",
     "offdiag_tail_flats",
+    "RowLayout",
+    "row_layout",
+    "orbit_map",
+    "circulant_source",
     "row_view",
     "row_sum",
     "gamma_plus",
@@ -42,6 +46,7 @@ __all__ = [
     "row_mix",
     "tensor_to_json",
     "tensor_from_json",
+    "json_order_dim",
     "ordered_sum",
 ]
 
@@ -202,6 +207,65 @@ def offdiag_tail_flats(A: Tensor, i1: int) -> tuple[int, ...]:
     return _offdiag_flats(i1, A.order, A.dim)
 
 
+class RowLayout(NamedTuple):
+    """Per-shape index arrays of the array kernels, 0-based offsets inside
+    a row; read-only, since every caller of the cache shares them."""
+
+    diag: np.ndarray  # (n,) offset of each row's diagonal
+    od: np.ndarray  # (n, q) offsets of each row's off-diagonals, ascending
+    offdiag: np.ndarray  # (r, n) True where offset f is off-diagonal in row i
+    iu: np.ndarray  # row pairs i < j, lexicographic
+    ju: np.ndarray
+    ii: np.ndarray  # ordered row pairs i != j, lexicographic
+    jj: np.ndarray
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=32)
+def row_layout(order: int, dim: int) -> RowLayout:
+    """The index layout of one (order, dim), built once and shared."""
+    r = dim ** (order - 1)
+    diag = np.array([diag_tail_flat(i, order, dim) for i in range(dim)], dtype=np.intp)
+    offdiag = np.arange(r)[:, None] != diag[None, :]
+    od = np.nonzero(offdiag.T)[1].reshape(dim, r - 1)
+    iu, ju = np.triu_indices(dim, 1)
+    ii, jj = np.nonzero(~np.eye(dim, dtype=bool))
+    return RowLayout(*map(_read_only, (diag, od, offdiag, iu, ju, ii, jj)))
+
+
+def _digits(order: int, dim: int) -> np.ndarray:
+    """(order, dim**order) array whose column f is the multi-index of f."""
+    return np.array(np.unravel_index(np.arange(dim**order), (dim,) * order))
+
+
+def _to_flat(digits: np.ndarray, dim: int) -> np.ndarray:
+    """Flat offsets of the multi-indices in the columns of ``digits``."""
+    flat = np.zeros(digits.shape[1], dtype=np.intp)
+    for row in digits:
+        flat = flat * dim + row
+    return flat
+
+
+@lru_cache(maxsize=32)
+def orbit_map(order: int, dim: int) -> np.ndarray:
+    """For each flat position, the position of its multi-index sorted
+    ascending: one representative per orbit under index permutations."""
+    return _read_only(_to_flat(np.sort(_digits(order, dim), axis=0), dim))
+
+
+@lru_cache(maxsize=32)
+def circulant_source(order: int, dim: int) -> np.ndarray:
+    """For each flat position (i1, i2, ..., im), the offset in row 0 of
+    ((i2 - i1) mod n, ..., (im - i1) mod n): the row-0 entry a circulant
+    tensor repeats there."""
+    digits = _digits(order, dim)
+    return _read_only(_to_flat((digits[1:] - digits[0]) % dim, dim))
+
+
 def _check_row_index(A: Tensor, i1: int) -> None:
     if not 0 <= i1 < A.dim:
         raise ValueError(f"row index {i1} out of range [0, {A.dim})")
@@ -298,28 +362,14 @@ def sign_transform(Ac: Tensor, Delta: Tensor, z: Sequence[int]) -> Tensor:
 
 def is_symmetric(A: Tensor) -> bool:
     """True iff entries are invariant under every permutation of the indices."""
-    n, m = A.dim, A.order
-    flat = A.entries
-    shape = (n,) * m
-    for f in range(n**m):
-        idx = np.unravel_index(f, shape)
-        canon = tail_to_flat(sorted(int(c) for c in idx), n)
-        if flat[f] != flat[canon]:
-            return False
-    return True
+    return bool(np.array_equal(A.entries, A.entries[orbit_map(A.order, A.dim)]))
 
 
 def is_circulant(A: Tensor) -> bool:
-    """True iff every entry equals the entry at all indices shifted by +1 mod n."""
-    n, m = A.dim, A.order
-    flat = A.entries
-    shape = (n,) * m
-    for f in range(n**m):
-        idx = np.unravel_index(f, shape)
-        shifted = tail_to_flat([(int(c) + 1) % n for c in idx], n)
-        if flat[f] != flat[shifted]:
-            return False
-    return True
+    """True iff every entry equals the entry at all indices shifted by +1 mod n,
+    that is iff every row is the cyclic translate of row 0."""
+    row0 = A.entries[: A.row_len]
+    return bool(np.array_equal(A.entries, row0[circulant_source(A.order, A.dim)]))
 
 
 def circulant_from_first_row(
@@ -330,18 +380,13 @@ def circulant_from_first_row(
     Row i1 is the cyclic translate of row 0: entry (i1, i2, ..., im) equals
     row[(i2 - i1) mod n, ..., (im - i1) mod n].
     """
-    vals = [float(v) for v in row]
+    vals = np.array([float(v) for v in row])
     r = dim ** (order - 1)
     if len(vals) != r:
         raise ValueError(f"row length {len(vals)} != dim**(order-1) = {r}")
-    tails = tail_tuples(order, dim)
-    out = np.empty(dim**order)
-    for i1 in range(dim):
-        base = i1 * r
-        for f, tail in enumerate(tails):
-            src = tail_to_flat([(c - i1) % dim for c in tail], dim)
-            out[base + f] = vals[src]
-    return make_tensor(order, dim, out)
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
+    return make_tensor(order, dim, vals[circulant_source(order, dim)])
 
 
 def row_mix(
@@ -391,19 +436,28 @@ def tensor_to_json(A: Tensor) -> dict:
     return {"order": A.order, "dim": A.dim, "entries": A.entries.tolist()}
 
 
+def json_order_dim(obj, kind: str, arrays: tuple[str, ...]) -> tuple[int, int]:
+    """Order and dim of a ``kind`` JSON object after checking its schema:
+    integer ``order``/``dim`` (JSON true/false are not integers) and each key
+    of ``arrays`` an array of numbers."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} JSON must be an object")
+    for key in ("order", "dim") + arrays:
+        if key not in obj:
+            raise ValueError(f"{kind} JSON missing key {key!r}")
+    order, dim = obj["order"], obj["dim"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (order, dim)):
+        raise ValueError("order and dim must be integers")
+    for key in arrays:
+        if not isinstance(obj[key], list):
+            raise ValueError(f"{key} must be an array of numbers")
+        for k, v in enumerate(obj[key]):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ValueError(f"{key}[{k}] is not a number")
+    return order, dim
+
+
 def tensor_from_json(obj) -> Tensor:
     """Parse the tensor file schema, rejecting malformed or wrong-length input."""
-    if not isinstance(obj, dict):
-        raise ValueError("tensor JSON must be an object")
-    for key in ("order", "dim", "entries"):
-        if key not in obj:
-            raise ValueError(f"tensor JSON missing key {key!r}")
-    order, dim, entries = obj["order"], obj["dim"], obj["entries"]
-    if not isinstance(order, int) or not isinstance(dim, int):
-        raise ValueError("order and dim must be integers")
-    if not isinstance(entries, list):
-        raise ValueError("entries must be an array of numbers")
-    for k, v in enumerate(entries):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"entries[{k}] is not a number")
-    return make_tensor(order, dim, entries)
+    order, dim = json_order_dim(obj, "tensor", ("entries",))
+    return make_tensor(order, dim, obj["entries"])

@@ -157,6 +157,23 @@ class TestCheckVerb:
                 f"error: {path}: order must be <= 64, got 3000000\n"
             )
 
+    @pytest.mark.parametrize("key", ["order", "dim"])
+    @pytest.mark.parametrize(
+        "cls, obj",
+        [
+            ("b", {"order": 3, "dim": 1, "entries": [5]}),
+            ("interval-b", {"order": 2, "dim": 1, "lower": [1], "upper": [2]}),
+        ],
+    )
+    def test_boolean_order_or_dim_rejected(self, tmp_path, capsys, key, cls, obj):
+        # JSON true is a Python int; it must not pass as order or dim 1.
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(dict(obj, **{key: True})))
+        assert main(["check", "--class", cls, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: order and dim must be integers\n"
+
     def test_byte_identical_reports(self, reject_file, capsys):
         main(["check", "--class", "interval-b", reject_file])
         first = capsys.readouterr().out

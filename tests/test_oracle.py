@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from itensor import (
@@ -23,6 +24,8 @@ from itensor import (
     random_interval_tensor,
     random_member,
 )
+from itensor import oracle
+from itensor.tensor import tail_to_flat
 
 
 class TestOracleIntervalB:
@@ -108,6 +111,23 @@ class TestGenerators:
                 GeneratorSpec(4, 2, structure="symmetric", seed=seed)
             )
             assert is_symmetric_interval(AI)
+
+    def test_orbit_average_sums_in_ascending_order(self):
+        # Bit for bit the per-entry accumulation: each orbit sums from 0.0
+        # in ascending flat order, then divides by its size.
+        rng = np.random.default_rng(4)
+        for m, n in ((3, 2), (2, 3), (3, 3), (4, 2), (3, 1)):
+            arr = rng.uniform(-3, 3, n**m)
+            sums, counts = {}, {}
+            canon = [
+                tail_to_flat(sorted(int(c) for c in np.unravel_index(f, (n,) * m)), n)
+                for f in range(arr.size)
+            ]
+            for f, c in enumerate(canon):
+                sums[c] = sums.get(c, 0.0) + float(arr[f])
+                counts[c] = counts.get(c, 0) + 1
+            expected = [(sums[c] / counts[c]).hex() for c in canon]
+            assert [v.hex() for v in oracle._orbit_average(arr, m, n).tolist()] == expected
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

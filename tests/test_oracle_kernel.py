@@ -5,10 +5,11 @@
 became blocks of one array: one ``Tensor`` per vertex, built by toggling
 selector bits in a Python loop, and the scalar ``check_b`` /
 ``check_double_b`` on each.  ``reference_belt`` draws the interior members
-one ``Tensor`` at a time from the same single generator the oracle uses.  Every ``OracleVerdict`` field of the array
-oracle must match them: status, method, the witness with both sides
-compared through ``float.hex`` (a zero of the wrong sign is a mismatch),
-the failing member's entries and ``vertices_checked``.
+one ``Tensor`` at a time from the same single generator the oracle uses.
+Every ``Verdict`` field of the array oracle must match them: status,
+method, the witness with both sides compared through ``float.hex`` (a zero
+of the wrong sign is a mismatch), the failing member's entries and
+``vertices_checked``.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from itensor import (
     GeneratorSpec,
     Status,
     Tensor,
+    Verdict,
     boundary_interval,
     check_b,
     check_double_b,
@@ -33,7 +35,6 @@ from itensor import (
 )
 from itensor import interval, oracle
 from itensor.interval import DEFAULT_VERTEX_LIMIT
-from itensor.oracle import OracleVerdict
 from itensor.tensor import diag_tail_flat
 
 TOLS = (0.0, 1e-9, 0.5)
@@ -68,8 +69,9 @@ def reference_oracle_b(AI, limit=DEFAULT_VERTEX_LIMIT, tol=0.0):
         checked += 1
         v = check_b(T, "definition", tol=tol)
         if not v.holds():
-            return OracleVerdict(Status.FAILS, "vertex_b", v.witness, T, checked)
-    return OracleVerdict(Status.HOLDS, "vertex_b", vertices_checked=checked)
+            return Verdict(Status.FAILS, "vertex_b", v.witness,
+                           failing_tensor=T, vertices_checked=checked)
+    return Verdict(Status.HOLDS, "vertex_b", vertices_checked=checked)
 
 
 def reference_belt(AI, interior_members, member_seed):
@@ -92,16 +94,14 @@ def reference_oracle_double_b(
         checked += 1
         v = check_double_b(T, tol=tol)
         if not v.holds():
-            return OracleVerdict(
-                Status.FAILS, "vertex_double_b", v.witness, T, checked
-            )
+            return Verdict(Status.FAILS, "vertex_double_b", v.witness,
+                           failing_tensor=T, vertices_checked=checked)
     for T in reference_belt(AI, interior_members, member_seed):
         v = check_double_b(T, tol=tol)
         if not v.holds():
-            return OracleVerdict(
-                Status.FAILS, "interior_double_b", v.witness, T, checked
-            )
-    return OracleVerdict(Status.HOLDS, "vertex_double_b", vertices_checked=checked)
+            return Verdict(Status.FAILS, "interior_double_b", v.witness,
+                           failing_tensor=T, vertices_checked=checked)
+    return Verdict(Status.HOLDS, "vertex_double_b", vertices_checked=checked)
 
 
 def _fields(v):

@@ -22,7 +22,13 @@ from itensor import (
     tensor_to_json,
     zeros,
 )
-from itensor.tensor import MAX_ORDER, tensor_apply_many
+from itensor.tensor import (
+    MAX_ORDER,
+    circulant_source,
+    orbit_map,
+    tail_to_flat,
+    tensor_apply_many,
+)
 
 
 def small_tensors(max_order=3, max_dim=3):
@@ -238,6 +244,37 @@ class TestStructurePredicates:
     def test_generator_length_check(self):
         with pytest.raises(ValueError):
             circulant_from_first_row([1.0, 2.0], 3, 2)
+        with pytest.raises(ValueError, match=f"order must be <= {MAX_ORDER}"):
+            circulant_from_first_row([1.0], 100, 1)
+
+    def test_index_maps_match_per_entry_definitions(self):
+        # The cached maps against the per-entry index arithmetic they
+        # replace: sorted multi-index, and shift of every index by -i1.
+        for order, dim in ((2, 1), (MAX_ORDER, 1), (2, 3), (3, 2), (3, 3), (4, 2)):
+            shape = (dim,) * order
+            canon, src = orbit_map(order, dim), circulant_source(order, dim)
+            for f in range(dim**order):
+                idx = [int(c) for c in np.unravel_index(f, shape)]
+                assert canon[f] == tail_to_flat(sorted(idx), dim)
+                assert src[f] == tail_to_flat([(c - idx[0]) % dim for c in idx[1:]], dim)
+            assert not canon.flags.writeable and not src.flags.writeable
+
+    def test_predicates_match_per_entry_definitions(self):
+        rng = np.random.default_rng(3)
+        for order, dim in ((2, 3), (3, 2), (3, 3)):
+            shape = (dim,) * order
+            base = circulant_from_first_row(rng.uniform(-1, 1, dim ** (order - 1)),
+                                            order, dim).entries
+            sym = base[orbit_map(order, dim)]
+            for arr in (base, sym, base + (np.arange(base.size) == 1)):
+                T = make_tensor(order, dim, arr)
+                idxs = [np.unravel_index(f, shape) for f in range(arr.size)]
+                assert is_symmetric(T) == all(
+                    arr[f] == arr[tail_to_flat(sorted(int(c) for c in idx), dim)]
+                    for f, idx in enumerate(idxs))
+                assert is_circulant(T) == all(
+                    arr[f] == arr[tail_to_flat([(int(c) + 1) % dim for c in idx], dim)]
+                    for f, idx in enumerate(idxs))
 
 
 class TestRowMix:
