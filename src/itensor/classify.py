@@ -15,7 +15,7 @@ tolerance ``tol`` relaxes every comparison toward acceptance by that amount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -85,14 +85,15 @@ class Verdict:
     ``conditions`` is the interval criteria's condition ledger (an
     ``interval_classify.Ledger``, empty elsewhere); ``failing_tensor`` and
     ``vertices_checked`` are the vertex oracle's failing member and the
-    number of vertices it checked.
+    number of vertices it checked.  Both are left out of the hash: a
+    ``Tensor`` is unhashable, and hashing a ledger would build every record.
     """
 
     status: Status
     method: str
     witness: Witness | None = None
-    conditions: Sequence = ()
-    failing_tensor: Tensor | None = None
+    conditions: Sequence = field(default=(), hash=False)
+    failing_tensor: Tensor | None = field(default=None, hash=False)
     vertices_checked: int = 0
 
     def holds(self) -> bool:

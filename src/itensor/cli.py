@@ -10,6 +10,13 @@ above ``tensor.MAX_ORDER``, or a ``generate`` shape above
 report goes to stdout (or ``--output``) and is byte-identical across
 identical invocations; a human summary goes to stderr.  Floats are
 printed as decimal doubles with 17 significant digits.
+
+The ``"conditions"`` of a ``check`` report on an interval file is, by
+default, ``Ledger.summary()``: one group per condition id and row (or row
+pair) with ``id``, ``rows``, ``evaluated``, ``failed``, ``tightest`` and
+``first_failure``.  ``--ledger full`` writes every evaluated record
+instead, from the ledger's columns.  Status, witness and exit code are the
+same either way; a text report builds no summary.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import stat
 import sys
 from functools import lru_cache
 
@@ -304,6 +313,8 @@ def _run_interval(args, AI):
     else:
         raise UsageError(f"class {cls} does not apply to an interval file")
     report = interval_verdict_report(v, cls)
+    if (args.format, args.ledger) == ("json", "summary") and "conditions" in report:
+        report["conditions"] = v.conditions.summary()
     summary = v.status.value.upper()
     if v.witness is not None:
         summary += ": " + _human_witness(v.witness, v.method)
@@ -352,11 +363,29 @@ def _run_classify(args):
     return report, status, digest, f"kind {d.kind}"
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating the file if it is missing.
+
+    A regular file is written over in place and then cut to the new length,
+    never truncated to zero first: ext4 allocates and writes back the blocks
+    of a file that was truncated to zero and rewritten when it is closed,
+    a wait on the disk for every report.  A write that fails part-way
+    still leaves only a prefix of the new text.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _emit(args, envelope: dict, summary: str) -> None:
     text = dumps_report(envelope) if args.format == "json" else summary + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
@@ -385,6 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run one class criterion")
     c.add_argument("--class", dest="class_id", required=True, choices=ALL_CLASSES)
     c.add_argument("--method", default=None)
+    c.add_argument("--ledger", choices=("summary", "full"), default="summary",
+                   help="condition ledger of a JSON report on an interval file: "
+                        "one group per condition and row (default) or every "
+                        "record; ignored by other inputs and classes")
     common(c)
 
     cl = sub.add_parser("classify", help="double-B dichotomy")

@@ -18,8 +18,9 @@ of a condition id, and builds each record only when it is read; the
 double-B test fills its blocks as numpy arrays, the other criteria from
 Python lists.  ``verdict_report`` (also bound here as
 ``interval_verdict_report``) writes it as ``Ledger.dicts()``, a lazy
-sequence of dicts, not a list.  Rows and trailing indices in records and
-witnesses are 1-based.
+sequence of dicts, not a list; ``Ledger.summary()`` condenses it to one
+group per condition id and row (or row pair), the form the CLI writes by
+default.  Rows and trailing indices in records and witnesses are 1-based.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -129,6 +130,26 @@ def _value(col, k: int):
     return v.item() if isinstance(v, np.generic) else v
 
 
+def _first_at_or_after(hits: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Per segment [start, end): the first index of ``hits`` (ascending)
+    inside it, or -1."""
+    pos = np.searchsorted(hits, starts)
+    found = np.append(hits, ends[-1])[pos]
+    return np.where(found < ends, found, -1)
+
+
+# Ledgers up to this many records are summarized record by record in
+# Python, longer ones in one numpy pass, whose fixed cost of some 25 array
+# calls exceeds a short ledger's whole loop.
+SMALL_LEDGER = 256
+
+# The columns that decide record equality, with their dtypes.
+_COLUMNS = (
+    ("rows", np.intp), ("pair_rows", np.intp), ("tails", np.intp),
+    ("pair_tails", np.intp), ("lhs", float), ("rhs", float), ("passed", bool),
+)
+
+
 class Ledger(Sequence):
     """The records of one criterion in evaluation order, built on access."""
 
@@ -179,9 +200,43 @@ class Ledger(Sequence):
                 yield ConditionRecord(b.condition, *fields)
 
     def __eq__(self, other):
+        """Record-by-record equality, as ``tuple(self) == tuple(other)``
+        gives it (floats by ``==``, so -0.0 equals 0.0); two ledgers of one
+        shape are compared by their columns, whatever their blocks."""
+        if isinstance(other, Ledger) and (other.order, other.dim) == (
+            self.order, self.dim
+        ):
+            if len(self) != len(other) or not len(self):
+                return len(self) == len(other)
+            return self._ids() == other._ids() and all(
+                np.array_equal(self._column(*c), other._column(*c))
+                for c in _COLUMNS
+            )
         if isinstance(other, (Ledger, tuple, list)):
             return tuple(self) == tuple(other)
         return NotImplemented
+
+    def _ids(self) -> list[list]:
+        """The condition ids as [id, record count] runs."""
+        runs: list[list] = []
+        for b in self.blocks:
+            size = len(b.lhs)
+            if runs and runs[-1][0] == b.condition:
+                runs[-1][1] += size
+            elif size:
+                runs.append([b.condition, size])
+        return runs
+
+    def _column(self, name: str, dtype=np.intp) -> np.ndarray:
+        """Column ``name`` of every block as one array; a missing index
+        column (None) reads -1, which no 0-based row or offset takes."""
+        parts = []
+        for b in self.blocks:
+            col = getattr(b, name)
+            if col is None:
+                col = np.full(len(b.lhs), -1, dtype=dtype)
+            parts.append(np.asarray(getattr(col, "array", col), dtype=dtype))
+        return np.concatenate(parts)
 
     def __hash__(self):
         return hash(tuple(self))
@@ -213,6 +268,113 @@ class Ledger(Sequence):
             elif False in b.passed:
                 return self._record(b, b.passed.index(False))
         return None
+
+    def summary(self) -> list[dict]:
+        """The report's default form: one group per (condition id, row or
+        row pair), in the order the groups first occur.
+
+        Each group holds ``id``, ``rows`` (1-based), ``evaluated``,
+        ``failed``, ``tightest`` (``lhs``, ``rhs`` and ``tail``/``pair_tail``
+        of the record with the smallest lhs - rhs in double arithmetic; ties
+        go to the earlier record, a NaN difference never wins, and a group
+        whose differences are all NaN reports its first record) and
+        ``first_failure`` (the same fields of its first failing record, or
+        None).  Groups come from the columns; no record is built.
+        """
+        if len(self) <= SMALL_LEDGER:
+            groups = self._groups_by_record()
+        else:
+            groups = self._groups_by_sort()
+        return [
+            {
+                "id": cond,
+                "rows": [row + 1] if pair < 0 else [row + 1, pair + 1],
+                "evaluated": evaluated,
+                "failed": failed,
+                "tightest": self._sides(tk),
+                "first_failure": None if fk < 0 else self._sides(fk),
+            }
+            for cond, row, pair, evaluated, failed, tk, fk in groups
+        ]
+
+    def _groups_by_record(self) -> list[tuple]:
+        """The summary groups in first-occurrence order, record by record:
+        (id, row, pair row or -1, evaluated, failed, index of the tightest
+        record, index of the first failing record or -1)."""
+        # (id, row, pair) -> [evaluated, failed, tightest index, its lhs - rhs
+        # (None while every difference is NaN), first failing index]
+        groups: dict[tuple, list] = {}
+        k = 0
+        for b in self.blocks:
+            pairs = repeat(-1) if b.pair_rows is None else b.pair_rows
+            for row, pair, lhs, rhs, ok in zip(b.rows, pairs, *b.values()):
+                d = lhs - rhs
+                g = groups.get((b.condition, row, pair))
+                if g is None:
+                    g = groups[b.condition, row, pair] = [0, 0, k, None, -1]
+                if d == d and (g[3] is None or d < g[3]):
+                    g[2:4] = k, d
+                g[0] += 1
+                if not ok:
+                    g[1] += 1
+                    if g[4] < 0:
+                        g[4] = k
+                k += 1
+        return [
+            (*key, evaluated, failed, tk, fk)
+            for key, (evaluated, failed, tk, _, fk) in groups.items()
+        ]
+
+    def _groups_by_sort(self) -> list[tuple]:
+        """The groups of ``_groups_by_record``, in one numpy pass."""
+        runs = self._ids()
+        ids = list(dict.fromkeys(cond for cond, _ in runs))
+        codes = np.repeat([ids.index(c) for c, _ in runs], [n for _, n in runs])
+        # One integer key per (id, row, pair row); a stable sort keeps each
+        # group's records in ledger order, so the first hit is the earliest.
+        width = self.dim + 1
+        key = codes * width + self._column("rows") + 1
+        key = key * width + self._column("pair_rows") + 1
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], len(key))
+        diff = (self._column("lhs", float) - self._column("rhs", float))[order]
+        least = np.minimum.reduceat(np.where(np.isnan(diff), np.inf, diff), starts)
+        # NaN equals nothing, so a NaN difference is never the least; a group
+        # of NaN differences only reports its first record.
+        tight = _first_at_or_after(
+            np.flatnonzero(diff == np.repeat(least, ends - starts)), starts, ends
+        )
+        tight = np.where(tight < 0, starts, tight)
+        fails = ~self._column("passed", bool)[order]
+        first = _first_at_or_after(np.flatnonzero(fails), starts, ends)
+        groups = sorted(zip(
+            order[starts].tolist(),
+            key[starts].tolist(),
+            (ends - starts).tolist(),
+            np.add.reduceat(fails, starts).tolist(),
+            order[tight].tolist(),
+            np.where(first < 0, -1, order[first]).tolist(),
+        ))
+        return [
+            (ids[k // width // width], k // width % width - 1, k % width - 1, *rest)
+            for _, k, *rest in groups
+        ]
+
+    def _sides(self, k: int) -> dict:
+        """Both sides of record ``k`` and its tail(s)."""
+        b = bisect_right(self._ends, k)
+        k -= self._ends[b - 1] if b else 0
+        b = self.blocks[b]
+        out = {"lhs": _value(b.lhs, k), "rhs": _value(b.rhs, k)}
+        if b.tails is not None:
+            out["tail"] = list(tail1(self, b.tails[k]))
+        if b.pair_tails is not None:
+            out["pair_tail"] = list(tail1(self, b.pair_tails[k]))
+        return out
 
 
 def _record_dict(rec: ConditionRecord) -> dict:
@@ -477,9 +639,19 @@ def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryRepor
     )
 
 
+class _IndexColumn(tuple):
+    """A cached layout index column: a tuple of ints for records and the
+    full report writer, whose integer array ``Ledger._column`` builds once,
+    on first use."""
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return np.array(self, dtype=np.intp)
+
+
 class _DoubleBLayout(NamedTuple):
     """Index columns of the double-B ledger blocks for one (order, dim):
-    tuples of 0-based rows and flat tails."""
+    ``_IndexColumn``s of 0-based rows and flat tails."""
 
     rows: tuple  # a, b2
     b1: tuple  # (rows, tails)
@@ -495,8 +667,8 @@ def _double_b_layout(order: int, dim: int) -> _DoubleBLayout:
     row_ids = np.arange(n)
     iu, ju, ii, jj, od = lay.iu, lay.ju, lay.ii, lay.jj, lay.od
 
-    def col(a) -> tuple:
-        return tuple(np.asarray(a).ravel().tolist())
+    def col(a) -> _IndexColumn:
+        return _IndexColumn(np.asarray(a).ravel().tolist())
 
     return _DoubleBLayout(
         rows=col(row_ids),

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from itensor import check_interval_b, check_interval_double_b, make_interval, make_tensor
 from itensor.cli import build_parser, dumps_report, main
 from itensor.interval import interval_to_json
-from itensor.interval_classify import LedgerDicts, interval_verdict_report
+from itensor.interval_classify import Ledger, LedgerDicts, interval_verdict_report
 from itensor.oracle import boundary_interval
 
 
@@ -68,12 +69,35 @@ class TestCheckVerb:
         assert "input_sha256" in report
 
     def test_interval_double_b_accept(self, accept_file, capsys):
-        code = main(["check", "--class", "interval-double-b", accept_file])
+        code = main(["check", "--class", "interval-double-b", "--ledger", "full",
+                     accept_file])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["report"]["status"] == "holds"
         c1 = [c for c in report["report"]["conditions"] if c["id"] == "c1"]
         assert any((c["lhs"], c["rhs"]) == (25, 4) for c in c1)
+
+    def test_interval_double_b_summary_by_default(self, accept_file, capsys):
+        assert main(["check", "--class", "interval-double-b", accept_file]) == 0
+        groups = json.loads(capsys.readouterr().out)["report"]["conditions"]
+        assert [(g["id"], g["rows"]) for g in groups] == [
+            ("a", [1]), ("a", [2]), ("b1", [1]), ("b1", [2]), ("b2", [1]),
+            ("b2", [2]), ("c1", [1, 2]), ("c2", [1, 2]), ("c2", [2, 1]),
+            ("c3", [1, 2]),
+        ]
+        c1 = groups[6]
+        assert (c1["evaluated"], c1["failed"], c1["first_failure"]) == (9, 0, None)
+        assert c1["tightest"] == {"lhs": 25, "rhs": 4, "tail": [1, 2],
+                                  "pair_tail": [1, 1]}
+
+    def test_text_report_builds_no_summary(self, accept_file, capsys, monkeypatch):
+        def boom(self):
+            raise AssertionError("summary built for a text report")
+
+        monkeypatch.setattr(Ledger, "summary", boom)
+        assert main(["check", "--class", "interval-double-b", "--format", "text",
+                     accept_file]) == 0
+        assert capsys.readouterr().out == "HOLDS\n"
 
     def test_point_class_on_tensor_file(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -187,6 +211,24 @@ class TestCheckVerb:
                      "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["report"]["status"] == "holds"
+
+    def test_output_file_replaces_longer_contents(self, accept_file, tmp_path, capsys):
+        argv = ["check", "--class", "interval-b", accept_file]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        out.write_text("x" * (3 * len(expected)))
+        out.chmod(0o640)
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_text() == expected
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert main(argv + ["--format", "text", "--output", str(out)]) == 0
+        assert out.read_text() == "HOLDS\n"
+
+    def test_output_to_a_device(self, accept_file, capsys):
+        assert main(["check", "--class", "interval-b", accept_file,
+                     "--output", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_text_format(self, accept_file, capsys):
         assert main(["check", "--class", "interval-b", accept_file,

@@ -1,9 +1,11 @@
 """Pinned CLI reports.
 
-The SHA-256 of stdout for three report-producing invocations on five
-interval files, recorded before the condition ledger became columnar.  Any
-change to a report byte (a float's digits, the sign of a zero, a key, the
-order of records) changes a hash here.
+The SHA-256 of stdout for report-producing invocations on five interval
+files.  The full-ledger reports (``--ledger full``) and ``classify`` were
+recorded before the condition ledger became columnar, the default summary
+reports when the summary became the default.  Any change to a report byte
+(a float's digits, the sign of a zero, a key, the order of records)
+changes a hash here.
 """
 
 import hashlib
@@ -21,9 +23,12 @@ from itensor.oracle import boundary_interval
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 VERBS = {
-    "double_b": ["check", "--class", "interval-double-b"],
-    "b_theorem": ["check", "--class", "interval-b", "--method", "theorem"],
+    "double_b": ["check", "--class", "interval-double-b", "--ledger", "full"],
+    "b_theorem": ["check", "--class", "interval-b", "--method", "theorem",
+                  "--ledger", "full"],
     "classify": ["classify"],
+    "double_b_summary": ["check", "--class", "interval-double-b"],
+    "b_theorem_summary": ["check", "--class", "interval-b", "--method", "theorem"],
 }
 
 
@@ -99,6 +104,28 @@ GOLDEN = {
         1, "bef8e0083e5f6d7e466be2fc536e39cace7c861b18f7d0b65c8fb6a46b94c1c5"),
     ("off_grid_signed_zero", "classify"): (
         1, "b7a9d05cab3c7dba32239d2eb4cd28608c47fb801313dbbe38c6762f521273e5"),
+    # The default summary ledger (one group per condition id and row or row
+    # pair), recorded when it became the default.
+    ("example_interval_b_reject", "double_b_summary"): (
+        1, "c828b632312ad8514c475c6fc3bbb1e632d4df0bfec9742a0f58321781182f5e"),
+    ("example_interval_b_reject", "b_theorem_summary"): (
+        1, "67f909bb65cf325a7d2b88c8eee313ea9598550522179f3d3cc7bcb077ebbb28"),
+    ("example_interval_double_b", "double_b_summary"): (
+        0, "33bde4e7ae033cf8840ff141c3e91673a4945ff98080a2a6b091d989ec0797ba"),
+    ("example_interval_double_b", "b_theorem_summary"): (
+        0, "e9570fa7994a010e4c95172d7e653de1fdb56f6e20012ba8501d5fb176f94c42"),
+    ("boundary_3_3", "double_b_summary"): (
+        0, "4f6025e865f3490ab530c3f7d2686f40fd6943a760768a210be2250d97721a67"),
+    ("boundary_3_3", "b_theorem_summary"): (
+        1, "96cf938cdb11b21aab4e04bbeb2cc0d71848c9d13327cd2d4415a2269ea4eea1"),
+    ("generated_3_6_seed1", "double_b_summary"): (
+        1, "319254eb3b8a09998e656e56ad36e7904e9d1c1b3c94578f377b7558a5f50622"),
+    ("generated_3_6_seed1", "b_theorem_summary"): (
+        1, "26b32f096065e9de31ae8ff2a51ffe0c68ad94d07b9723dc702beb179b7eb1ad"),
+    ("off_grid_signed_zero", "double_b_summary"): (
+        1, "6ddfe792f5751190d2214a36863c50d2c280f44683957ecbb5491830024682e4"),
+    ("off_grid_signed_zero", "b_theorem_summary"): (
+        1, "1440a1ccd17b8754aba870849187d6262a33e21fe9593f919fb7a2f1d15c2978"),
 }
 
 

@@ -5,6 +5,7 @@ import inspect
 
 import itensor
 from itensor import (
+    GeneratorSpec,
     Verdict,
     boundary_interval,
     check_b,
@@ -27,6 +28,7 @@ from itensor import (
     oracle_interval_b,
     oracle_interval_double_b,
     p_sufficient,
+    random_interval_tensor,
 )
 from itensor import classify, interval_classify
 from itensor.classify import B_METHODS, verdict_report
@@ -107,3 +109,17 @@ def test_one_report_writer(family_not_b):
     assert isinstance(rep["conditions"], LedgerDicts)
     assert rep["witness"] == {"row": 1, "condition": "b", "lhs": 4.0,
                               "rhs": 6.0, "index": [2, 2]}
+
+
+def test_every_verdict_hashes(family_not_b, family_double_b, monkeypatch):
+    v = oracle_interval_b(family_not_b)
+    assert v.failing_tensor is not None
+    assert hash(v) == hash(oracle_interval_b(family_not_b))
+    hashes = {label: hash(v) for label, v in producers(family_not_b, family_double_b)}
+    assert len(hashes) > 1
+    # The ledger is left out of the hash, so hashing builds no record.
+    big = check_interval_double_b(random_interval_tensor(GeneratorSpec(3, 8, seed=1)))
+    monkeypatch.setattr(interval_classify.Ledger, "__iter__", None)
+    monkeypatch.setattr(interval_classify.Ledger, "__hash__", None)
+    assert hash(big) == hash(check_interval_double_b(
+        random_interval_tensor(GeneratorSpec(3, 8, seed=1))))
