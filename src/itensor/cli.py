@@ -5,8 +5,9 @@ Verbs: ``check`` (run one class criterion on a tensor or interval file),
 instance), and ``cross-validate`` (run the oracle suite).  Exit codes:
 0 the property holds, 1 it fails, 2 the criterion is inconclusive,
 3 usage or parse error, an input too large for memory, a tensor order
-above ``tensor.MAX_ORDER``, or a ``generate`` shape above
-``MAX_GENERATE_ENTRIES`` entries per bound.  The JSON
+above ``tensor.MAX_ORDER``, a ``generate`` or ``cross-validate`` shape
+above ``MAX_SHAPE_ENTRIES`` entries per bound, or a ``cross-validate``
+family with more vertices than the oracle's limit.  The JSON
 report goes to stdout (or ``--output``) and is byte-identical across
 identical invocations; a human summary goes to stderr.  Floats are
 printed as decimal doubles with 17 significant digits.
@@ -60,7 +61,7 @@ from .interval_classify import (
     interval_p_sufficient,
     interval_verdict_report,
 )
-from .oracle import GeneratorSpec, equivalence_suite, random_interval_tensor
+from .oracle import STRUCTURES, GeneratorSpec, equivalence_suite, random_interval_tensor
 from .tensor import MAX_ORDER, tail1, tensor_from_json
 
 POINT_CLASSES = ("b", "double-b", "z", "sdd", "circulant-b", "p-sufficient", "p-falsify")
@@ -75,27 +76,28 @@ ALL_CLASSES = POINT_CLASSES + INTERVAL_CLASSES + ("dichotomy",)
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
-# Largest n**m that ``generate`` builds: each bound tensor holds n**m
-# entries, and the generator keeps a few arrays of that size at once.
-MAX_GENERATE_ENTRIES = 1 << 20
+# Largest n**m that ``generate`` and ``cross-validate`` build: each bound
+# tensor holds n**m entries, and the generator keeps a few arrays of that
+# size at once.
+MAX_SHAPE_ENTRIES = 1 << 20
 
 
 class UsageError(Exception):
     pass
 
 
-def _check_generate_size(m: int, n: int) -> None:
-    """Reject a ``generate`` shape before anything is allocated."""
+def _check_shape(m: int, n: int) -> None:
+    """Reject a generated shape before anything is allocated."""
     if m < 2:
         raise UsageError(f"order must be >= 2, got {m}")
     if m > MAX_ORDER:
         raise UsageError(f"order must be <= {MAX_ORDER}, got {m}")
     if n < 1:
         raise UsageError(f"dim must be >= 1, got {n}")
-    if n**m > MAX_GENERATE_ENTRIES:
+    if n**m > MAX_SHAPE_ENTRIES:
         raise UsageError(
             f"--m {m} --n {n} needs n**m entries per bound, more than the "
-            f"{MAX_GENERATE_ENTRIES} that generate writes"
+            f"limit of {MAX_SHAPE_ENTRIES}"
         )
 
 
@@ -428,16 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a random interval instance")
     g.add_argument("--m", type=int, required=True, help="tensor order")
     g.add_argument("--n", type=int, required=True, help="tensor dimension")
-    g.add_argument("--structure", default="general",
-                   choices=("general", "z", "circulant", "symmetric"))
+    g.add_argument("--structure", default="general", choices=STRUCTURES)
     common(g, needs_input=False)
 
     x = sub.add_parser("cross-validate", help="run the oracle suite")
     x.add_argument("--trials", type=int, default=200)
     x.add_argument("--m", type=int, default=3)
     x.add_argument("--n", type=int, default=2)
-    x.add_argument("--structure", default="mixed",
-                   choices=("mixed", "general", "z", "circulant", "symmetric"))
+    x.add_argument("--structure", default="mixed", choices=("mixed",) + STRUCTURES)
     common(x, needs_input=False)
     return p
 
@@ -473,8 +473,9 @@ def main(argv=None) -> int:
             _emit(args, envelope, summary)
             return _status_exit(status)
 
+        if args.verb in ("generate", "cross-validate"):
+            _check_shape(args.m, args.n)
         if args.verb == "generate":
-            _check_generate_size(args.m, args.n)
             spec = GeneratorSpec(
                 order=args.m, dim=args.n, structure=args.structure, seed=args.seed
             )
@@ -490,6 +491,8 @@ def main(argv=None) -> int:
             return EXIT_HOLDS
 
         # cross-validate
+        if args.trials < 0:
+            raise UsageError(f"--trials must be >= 0, got {args.trials}")
         suite = equivalence_suite(
             trials=args.trials, seed=args.seed, order=args.m, dim=args.n,
             structure=args.structure,
@@ -509,7 +512,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
-        print(f"error: {exc} (required budget {exc.required})", file=sys.stderr)
+        # required is 2**k, whose decimal form can exceed int-to-str's digit limit.
+        required = f"2**{exc.required.bit_length() - 1}"
+        print(f"error: {exc} (required budget {required})", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -500,8 +500,11 @@ class _Rows:
         self.ldiag = [
             self.lrow[i][diag_tail_flat(i, AI.order, n)] for i in range(n)
         ]
-        self.lsum_od = [
-            ordered_sum(self.lrow[i][t] for t in self.od[i]) for i in range(n)
+        # Negated lower off-diagonal row sums; a row without off-diagonal
+        # positions (dim 1) gets the float +0.0, not the empty sum's int 0.
+        self.neg_lsum_od = [
+            -ordered_sum(self.lrow[i][t] for t in self.od[i]) if self.od[i] else 0.0
+            for i in range(n)
         ]
 
     def lrow_total(self, i1: int) -> float:
@@ -851,7 +854,7 @@ def interval_double_b_necessary(
             rhs = rows.excl(i1, arg[i1])
             led.add("b1", i1, lhs, rhs, _ge(lhs, rhs, tol), arg[i1])
         else:
-            rhs = -rows.lsum_od[i1]
+            rhs = rows.neg_lsum_od[i1]
             led.add("b2", i1, rows.ldiag[i1], rhs, _ge(rows.ldiag[i1], rhs, tol))
     for i1 in range(n):
         for j1 in range(i1 + 1, n):
@@ -861,14 +864,14 @@ def interval_double_b_necessary(
                 led.add("c1", i1, lhs, rhs, _gt(lhs, rhs, tol), arg[i1], j1, arg[j1])
             elif not positive[i1] and not positive[j1]:
                 lhs = rows.ldiag[i1] * rows.ldiag[j1]
-                rhs = (-rows.lsum_od[i1]) * (-rows.lsum_od[j1])
+                rhs = rows.neg_lsum_od[i1] * rows.neg_lsum_od[j1]
                 led.add("c3", i1, lhs, rhs, _gt(lhs, rhs, tol), pair_row=j1)
     for i1 in range(n):
         for j1 in range(n):
             if j1 == i1 or not positive[i1] or positive[j1]:
                 continue
             lhs = (rows.ldiag[i1] - maxu[i1]) * rows.ldiag[j1]
-            rhs = rows.excl(i1, arg[i1]) * (-rows.lsum_od[j1])
+            rhs = rows.excl(i1, arg[i1]) * rows.neg_lsum_od[j1]
             led.add("c2", i1, lhs, rhs, _gt(lhs, rhs, tol), arg[i1], j1)
     ledger = led.ledger()
     return NecessaryReport("rowmax", ledger.first_failure() is None, ledger)
@@ -961,7 +964,7 @@ def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
         raise ValueError("interval bounds are not circulant")
     rows = _Rows(AI)
     led = _LedgerBuilder(AI)
-    rhs = -rows.lsum_od[0]
+    rhs = rows.neg_lsum_od[0]
     led.add("c1", 0, rows.ldiag[0], rhs, _gt(rows.ldiag[0], rhs, tol))
     for j in rows.od[0]:
         lhs = rows.ldiag[0] - rows.urow[0][j]

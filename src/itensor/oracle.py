@@ -32,10 +32,14 @@ c; by row, then by row pair).  So the verdict, the first failing vertex,
 its witness and ``vertices_checked`` are bit for bit those of checking one
 vertex ``Tensor`` at a time.
 
-The cross-validation suite generates seeded random families (optionally Z,
-circulant, or symmetric structured, plus exactly manufactured critical-row
-families), replays every classifier invariant against the oracle and
-against each other, and logs each disagreement with a serialized instance.
+The cross-validation suite draws seeded random families from one table of
+generator recipes (general, Z, circulant, symmetric, B-biased, plus exactly
+manufactured critical-row families), replays every classifier invariant
+against the oracle and against each other, and logs each disagreement with
+a serialized instance.  One generator yields every check as a property id,
+an outcome and its details, and one loop tallies them into the report.
+Each trial asks the vertex oracle first, so a family with more vertices
+than ``DEFAULT_VERTEX_LIMIT`` stops the suite before any classifier runs.
 
 Generated entry values are snapped to a 1/16 grid so that every sum and
 product appearing in the criteria is computed exactly in double precision;
@@ -453,7 +457,19 @@ def _bump_upper_diag(AI: IntervalTensor, bump: float = 1.0) -> IntervalTensor:
 
 _MIXED_CYCLE = ("general", "b_biased", "z", "general", "b_biased", "circulant")
 
-_B_BIASED = dict(diag_range=(4.0, 8.0), offdiag_range=(-0.5, 0.5), radius_scale=0.25)
+# GeneratorSpec keywords of each suite recipe.  A "boundary" trial is the
+# manufactured boundary_interval when rows have at least two off-diagonal
+# positions, and a "general" draw otherwise.
+_RECIPES = {
+    "general": {},
+    "z": {"structure": "z"},
+    "circulant": {"structure": "circulant"},
+    "symmetric": {"structure": "symmetric"},
+    "b_biased": {
+        "diag_range": (4.0, 8.0), "offdiag_range": (-0.5, 0.5), "radius_scale": 0.25
+    },
+    "boundary": {},
+}
 
 
 def equivalence_suite(
@@ -462,7 +478,6 @@ def equivalence_suite(
     order: int = 3,
     dim: int = 2,
     structure: str = "mixed",
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     boundary_every: int = 25,
 ) -> SuiteReport:
     """Cross-validate every classifier on seeded random instances.
@@ -471,259 +486,150 @@ def equivalence_suite(
     recipes and inject exactly manufactured critical-row families.  The
     report is a pure function of the arguments.
     """
+    if structure != "mixed" and structure not in STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}")
     report = SuiteReport(trials, seed, order, dim, structure)
-    props = report.properties
-    probe = {
-        "double_b_not_b": 0,
-        "b_not_double_b": 0,
-        "manufactured_boundary_count": 0,
-        "critical_row_instances": 0,
-    }
-
-    def tally(prop: str, ok: bool, AI: IntervalTensor, trial: int, details: str):
-        rec = props.setdefault(prop, {"checked": 0, "passed": 0})
+    probe = dict.fromkeys(("double_b_not_b", "b_not_double_b",
+                           "manufactured_boundary_count", "critical_row_instances"), 0)
+    results = _suite_results(trials, seed, order, dim, structure, boundary_every, probe)
+    for t, AI, prop, ok, details in results:
+        rec = report.properties.setdefault(prop, {"checked": 0, "passed": 0})
         rec["checked"] += 1
         if ok:
             rec["passed"] += 1
         else:
-            report.counterexamples.append(
-                {
-                    "property": prop,
-                    "trial": trial,
-                    "instance": interval_to_json(AI),
-                    "details": details,
-                }
-            )
+            report.counterexamples.append({
+                "property": prop,
+                "trial": t,
+                "instance": interval_to_json(AI),
+                "details": details,
+            })
+    probe["double_b_implies_b_refuted"] = probe["double_b_not_b"] > 0
+    probe["b_implies_double_b_refuted"] = probe["b_not_double_b"] > 0
+    report.inclusion_probe = probe
+    return report
 
-    prev_interval_b: IntervalTensor | None = None
 
+def _suite_results(trials, seed, order, dim, structure, boundary_every, probe):
+    """Every check of ``equivalence_suite`` as ``(trial, family, property
+    id, ok, details)``, in the order the report lists them; the inclusion
+    probe is counted into ``probe``."""
+    prev_b = None  # the last interval B family, for row mixing
     for t in range(trials):
         trial_seed = (seed * 1_000_003 + t) & ((1 << 63) - 1)
-        manufactured = False
+        recipe = structure
         if structure == "mixed":
             recipe = _MIXED_CYCLE[t % len(_MIXED_CYCLE)]
             if boundary_every and t % boundary_every == boundary_every - 1:
                 recipe = "boundary"
+        manufactured = recipe == "boundary" and dim ** (order - 1) >= 3
+        if manufactured:
+            AI = boundary_interval(order, dim, (1.0, 0.5, 2.0)[t % 3])
         else:
-            recipe = structure
+            spec = GeneratorSpec(order, dim, seed=trial_seed, **_RECIPES[recipe])
+            AI = random_interval_tensor(spec)
 
-        if recipe == "boundary" and dim ** (order - 1) >= 3:
-            scale = (1.0, 0.5, 2.0)[t % 3]
-            AI = boundary_interval(order, dim, scale)
-            manufactured = True
-        elif recipe == "b_biased":
-            AI = random_interval_tensor(
-                GeneratorSpec(order, dim, seed=trial_seed, **_B_BIASED)
-            )
-        else:
-            if recipe == "boundary":
-                recipe = "general"
-            AI = random_interval_tensor(
-                GeneratorSpec(order, dim, structure=recipe, seed=trial_seed)
-            )
-
-        # Interval B: four methods and the vertex oracle.
-        ib_verdicts = {
-            meth: check_interval_b(AI, meth) for meth in INTERVAL_B_METHODS
-        }
-        statuses = {v.status for v in ib_verdicts.values()}
-        tally(
-            "interval_b_method_agreement",
-            len(statuses) == 1,
-            AI,
-            t,
-            f"statuses {sorted(s.value for s in statuses)}",
-        )
-        ib = ib_verdicts["theorem"]
-        orc_b = oracle_interval_b(AI, vertex_limit)
-        tally(
-            "interval_b_vs_oracle",
-            ib.status == orc_b.status,
-            AI,
-            t,
-            f"classifier {ib.status.value}, oracle {orc_b.status.value}",
-        )
-
-        # Interval double B against the oracle.
-        idb = check_interval_double_b(AI)
-        orc_db = oracle_interval_double_b(AI, vertex_limit, member_seed=trial_seed)
-        tally(
-            "interval_double_b_vs_oracle",
-            idb.status == orc_db.status,
-            AI,
-            t,
-            f"classifier {idb.status.value}, oracle {orc_db.status.value}",
-        )
+        # The vertex oracle first, so that a family over the vertex budget
+        # stops the suite before any classifier runs.
+        orc_b = oracle_interval_b(AI)
+        orc_db = oracle_interval_double_b(AI, member_seed=trial_seed)
+        ib_all = {meth: check_interval_b(AI, meth) for meth in INTERVAL_B_METHODS}
+        ib, idb = ib_all["theorem"], check_interval_double_b(AI)
+        statuses = sorted({v.status.value for v in ib_all.values()})
+        yield t, AI, "interval_b_method_agreement", len(statuses) == 1, (
+            f"statuses {statuses}")
+        for prop, v, orc in (("interval_b_vs_oracle", ib, orc_b),
+                             ("interval_double_b_vs_oracle", idb, orc_db)):
+            yield t, AI, prop, v.status == orc.status, (
+                f"classifier {v.status.value}, oracle {orc.status.value}")
 
         # Point-level method agreement and B => double B on sampled members.
-        samples = [AI.lower, AI.upper]
-        for k in range(4):
-            samples.append(random_member(AI, seed=trial_seed + 7_919 * (k + 1)))
+        samples = [AI.lower, AI.upper] + [
+            random_member(AI, seed=trial_seed + 7_919 * k) for k in range(1, 5)
+        ]
         for T in samples:
             point = {meth: check_b(T, meth).status for meth in B_METHODS}
-            tally(
-                "point_b_method_agreement",
-                len(set(point.values())) == 1,
-                AI,
-                t,
-                f"statuses {sorted(s.value for s in point.values())}",
-            )
-            if point["definition"] is Status.HOLDS:
-                tally(
-                    "point_b_implies_double_b",
-                    check_double_b(T).holds(),
-                    AI,
-                    t,
-                    "B member failing the double B check",
-                )
+            member_b = point["definition"] is Status.HOLDS
+            yield t, AI, "point_b_method_agreement", len(set(point.values())) == 1, (
+                f"statuses {sorted(s.value for s in point.values())}")
+            if member_b:
+                yield t, AI, "point_b_implies_double_b", check_double_b(T).holds(), (
+                    "B member failing the double B check")
             if ib.holds():
-                tally(
-                    "interval_b_implies_member_b",
-                    point["definition"] is Status.HOLDS,
-                    AI,
-                    t,
-                    "member of an interval B family failing the B check",
-                )
+                yield t, AI, "interval_b_implies_member_b", member_b, (
+                    "member of an interval B family failing the B check")
 
-        # Interval B implies every vertex is (double) B.
+        # Interval B implies every vertex is (double) B, and the necessary
+        # reports pass whenever the exact classifier holds.
         if ib.holds():
-            tally(
-                "interval_b_implies_vertex_b",
-                orc_b.holds(),
-                AI,
-                t,
-                "interval B family with a failing vertex",
-            )
-            tally(
-                "interval_b_implies_vertex_double_b",
-                orc_db.holds(),
-                AI,
-                t,
-                "interval B family with a vertex failing double B",
-            )
-
-        # Necessary reports must pass whenever the exact classifier holds.
-        if ib.holds():
-            tally(
-                "interval_b_necessary_pass",
-                interval_b_necessary(AI).passed,
-                AI,
-                t,
-                "necessary interval-B report failed on a holding family",
-            )
+            yield t, AI, "interval_b_implies_vertex_b", orc_b.holds(), (
+                "interval B family with a failing vertex")
+            yield t, AI, "interval_b_implies_vertex_double_b", orc_db.holds(), (
+                "interval B family with a vertex failing double B")
+            yield t, AI, "interval_b_necessary_pass", interval_b_necessary(AI).passed, (
+                "necessary interval-B report failed on a holding family")
         if idb.holds():
             ok = (
                 interval_double_b_necessary(AI, "extremes").passed
                 and interval_double_b_necessary(AI, "rowmax").passed
             )
-            tally(
-                "interval_double_b_necessary_pass",
-                ok,
-                AI,
-                t,
-                "necessary double-B report failed on a holding family",
-            )
+            yield t, AI, "interval_double_b_necessary_pass", ok, (
+                "necessary double-B report failed on a holding family")
 
         # Sufficient hat criterion never overclaims.
-        hat = check_interval_double_b_hat_sufficient(AI)
-        if hat.holds():
-            tally(
-                "hat_sufficient_implies_double_b",
-                idb.holds(),
-                AI,
-                t,
-                "hat criterion held on a non double B family",
-            )
+        if check_interval_double_b_hat_sufficient(AI).holds():
+            yield t, AI, "hat_sufficient_implies_double_b", idb.holds(), (
+                "hat criterion held on a non double B family")
 
         # Reduction by dominated positions preserves both verdicts.
         reduced, _ = reduce_via_K(AI)
-        tally(
-            "k_reduction_preserves_interval_b",
-            check_interval_b(reduced, "theorem").status == ib.status,
-            AI,
-            t,
-            "interval-B verdict changed under reduction",
-        )
-        tally(
-            "k_reduction_preserves_interval_double_b",
-            check_interval_double_b(reduced).status == idb.status,
-            AI,
-            t,
-            "double-B verdict changed under reduction",
-        )
-        tally(
-            "k_reduction_idempotent",
-            reduce_via_K(reduced)[0] == reduced,
-            AI,
-            t,
-            "reduction is not idempotent",
-        )
+        ok = check_interval_b(reduced, "theorem").status == ib.status
+        yield t, AI, "k_reduction_preserves_interval_b", ok, (
+            "interval-B verdict changed under reduction")
+        ok = check_interval_double_b(reduced).status == idb.status
+        yield t, AI, "k_reduction_preserves_interval_double_b", ok, (
+            "double-B verdict changed under reduction")
+        yield t, AI, "k_reduction_idempotent", reduce_via_K(reduced)[0] == reduced, (
+            "reduction is not idempotent")
 
         # Upper diagonal entries are irrelevant to both families.
         bumped = _bump_upper_diag(AI)
-        tally(
-            "diagonal_irrelevance",
+        ok = (
             check_interval_b(bumped, "theorem").status == ib.status
-            and check_interval_double_b(bumped).status == idb.status,
-            AI,
-            t,
-            "verdict moved when only upper diagonals changed",
+            and check_interval_double_b(bumped).status == idb.status
         )
+        yield t, AI, "diagonal_irrelevance", ok, (
+            "verdict moved when only upper diagonals changed")
 
         # Membership is inherited by sub-boxes.
         nested = _shrink(AI)
         if ib.holds():
-            tally(
-                "containment_monotonic_interval_b",
-                check_interval_b(nested, "theorem").holds(),
-                AI,
-                t,
-                "nested sub-box lost the interval B property",
-            )
+            ok = check_interval_b(nested, "theorem").holds()
+            yield t, AI, "containment_monotonic_interval_b", ok, (
+                "nested sub-box lost the interval B property")
         if idb.holds():
-            tally(
-                "containment_monotonic_interval_double_b",
-                check_interval_double_b(nested).holds(),
-                AI,
-                t,
-                "nested sub-box lost the interval double B property",
-            )
+            ok = check_interval_double_b(nested).holds()
+            yield t, AI, "containment_monotonic_interval_double_b", ok, (
+                "nested sub-box lost the interval double B property")
 
         # Structured fast paths agree with the general classifiers.
         if is_interval_z(AI):
-            tally(
-                "zfast_interval_b_agreement",
-                check_interval_b_zfast(AI).status == ib.status,
-                AI,
-                t,
-                "Z fast path disagrees on interval B",
-            )
-            tally(
-                "zfast_interval_double_b_agreement",
-                check_interval_double_b_zfast(AI).status == idb.status,
-                AI,
-                t,
-                "Z fast path disagrees on interval double B",
-            )
+            ok = check_interval_b_zfast(AI).status == ib.status
+            yield t, AI, "zfast_interval_b_agreement", ok, (
+                "Z fast path disagrees on interval B")
+            ok = check_interval_double_b_zfast(AI).status == idb.status
+            yield t, AI, "zfast_interval_double_b_agreement", ok, (
+                "Z fast path disagrees on interval double B")
         if is_circulant(AI.lower) and is_circulant(AI.upper):
             circ = check_interval_circulant(AI)
-            tally(
-                "circulant_agreement",
-                circ.status == ib.status and circ.status == idb.status,
-                AI,
-                t,
+            ok = circ.status == ib.status and circ.status == idb.status
+            yield t, AI, "circulant_agreement", ok, (
                 f"circulant {circ.status.value}, B {ib.status.value}, "
-                f"double B {idb.status.value}",
-            )
+                f"double B {idb.status.value}")
         dom = check_interval_double_b_dominance(AI)
         if dom.status is not Status.INCONCLUSIVE:
-            tally(
-                "dominance_agreement",
-                dom.status == idb.status,
-                AI,
-                t,
-                "dominance criterion disagrees with the general classifier",
-            )
+            yield t, AI, "dominance_agreement", dom.status == idb.status, (
+                "dominance criterion disagrees with the general classifier")
 
         # Dichotomies partition exactly.
         dich = classify_interval_double_b_dichotomy(AI)
@@ -732,7 +638,7 @@ def equivalence_suite(
             and (dich.kind == "interval_b") == (idb.holds() and ib.holds())
             and (dich.kind != "critical_row" or not ib.holds())
         )
-        tally("interval_dichotomy_partition", ok, AI, t, f"kind {dich.kind}")
+        yield t, AI, "interval_dichotomy_partition", ok, f"kind {dich.kind}"
         pd = classify_double_b_dichotomy(AI.lower)
         lb = check_b(AI.lower, "definition").holds()
         ldb = check_double_b(AI.lower).holds()
@@ -741,38 +647,24 @@ def equivalence_suite(
             and (pd.kind == "is_b") == (ldb and lb)
             and (pd.kind != "critical_row" or not lb)
         )
-        tally("point_dichotomy_partition", ok, AI, t, f"kind {pd.kind}")
+        yield t, AI, "point_dichotomy_partition", ok, f"kind {pd.kind}"
 
         # Inclusion-direction probe: counted, never asserted.
         if idb.holds() and not ib.holds():
             probe["double_b_not_b"] += 1
-            if manufactured:
-                probe["manufactured_boundary_count"] += 1
+            probe["manufactured_boundary_count"] += manufactured
         if ib.holds() and not idb.holds():
             probe["b_not_double_b"] += 1
-        if dich.kind == "critical_row":
-            probe["critical_row_instances"] += 1
+        probe["critical_row_instances"] += dich.kind == "critical_row"
 
         # Row mixing of two interval B families stays interval B.
         if ib.holds():
-            if prev_interval_b is not None and (
-                prev_interval_b.order,
-                prev_interval_b.dim,
-            ) == (order, dim):
-                mixed = _mix_intervals(prev_interval_b, AI, trial_seed)
-                tally(
-                    "row_mixing_closure",
-                    check_interval_b(mixed, "theorem").holds(),
-                    AI,
-                    t,
-                    "row mix of two interval B families is not interval B",
-                )
-            prev_interval_b = AI
-
-    probe["double_b_implies_b_refuted"] = probe["double_b_not_b"] > 0
-    probe["b_implies_double_b_refuted"] = probe["b_not_double_b"] > 0
-    report.inclusion_probe = probe
-    return report
+            if prev_b is not None:
+                mixed = _mix_intervals(prev_b, AI, trial_seed)
+                ok = check_interval_b(mixed, "theorem").holds()
+                yield t, AI, "row_mixing_closure", ok, (
+                    "row mix of two interval B families is not interval B")
+            prev_b = AI
 
 
 def _mix_intervals(A: IntervalTensor, B: IntervalTensor, seed: int) -> IntervalTensor:

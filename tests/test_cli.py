@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -313,6 +314,41 @@ class TestGenerateAndCrossValidate:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: order must be <= 64, got {m}\n"
+
+    def test_cross_validate_rejects_hostile_shapes(self, capsys, monkeypatch):
+        import itensor.cli as cli
+
+        def reached(*args, **kwargs):
+            raise AssertionError("equivalence_suite was reached")
+
+        monkeypatch.setattr(cli, "equivalence_suite", reached)
+        for argv in (["--m", "3", "--n", "102"], ["--m", "21", "--n", "2"],
+                     ["--m", "65", "--n", "1"], ["--m", "1"], ["--n", "0"],
+                     ["--trials", "-3"]):
+            assert main(["cross-validate"] + argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+        assert captured.err == "error: --trials must be >= 0, got -3\n"
+
+    def test_cross_validate_over_the_vertex_budget(self, capsys, monkeypatch):
+        # 2**20 entries per bound passes the shape cap; the first family's
+        # vertex count stops the suite before any classifier runs.
+        from itensor import oracle
+
+        def reached(*args, **kwargs):
+            raise AssertionError("a classifier ran")
+
+        monkeypatch.setattr(oracle, "check_interval_b", reached)
+        assert main(["cross-validate", "--m", "20", "--n", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: vertex enumeration needs 2\*\*(\d+) tensors, limit is 1048576 "
+            r"\(required budget 2\*\*\1\)\n",
+            captured.err,
+        )
 
     def test_cross_validate(self, capsys):
         code = main(["cross-validate", "--trials", "25", "--seed", "3",

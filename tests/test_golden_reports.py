@@ -3,19 +3,23 @@
 The SHA-256 of stdout for report-producing invocations on five interval
 files.  The full-ledger reports (``--ledger full``) and ``classify`` were
 recorded before the condition ledger became columnar, the default summary
-reports when the summary became the default.  Any change to a report byte
-(a float's digits, the sign of a zero, a key, the order of records)
-changes a hash here.
+reports when the summary became the default.  The SHA-256 of
+``cross-validate`` stdout is pinned for every structure on two shapes, on
+two shapes whose boundary trials fall back to a general draw, and with
+classifiers made to disagree, so that counterexamples are pinned too.
+Any change to a report byte (a float's digits, the sign of a zero, a key,
+the order of records) changes a hash here.
 """
 
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from itensor import make_interval, make_tensor
+from itensor import Status, make_interval, make_tensor, oracle
 from itensor.cli import dumps_report, main
 from itensor.interval import interval_to_json
 from itensor.oracle import boundary_interval
@@ -137,3 +141,75 @@ def test_report_bytes_pinned(name, verb, tmp_path, capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[(name, verb)]
+
+
+# cross-validate stdout, recorded before the suite became one stream of
+# property results: (m, n, structure) -> (exit code, SHA-256 of stdout).
+# Rows of (2, 2) have one off-diagonal position and rows of (3, 1) none, so
+# their manufactured boundary trials fall back to the general recipe.
+CROSS_VALIDATE = {
+    (3, 2, "mixed"): (
+        0, "7214c72a22fc732093173f10a76976f19f35c34f9b7c2b9f1789bd0a97017983"),
+    (3, 2, "general"): (
+        0, "7a992c60fee68391563d3faedb183f086712b679041e890b7f513a18542b3455"),
+    (3, 2, "z"): (
+        0, "f6d8dffcf7f18600c7de54e734eff5fc645000b7598fcb798f1910325915618d"),
+    (3, 2, "circulant"): (
+        0, "672b7577008293d8dfa7474c0e3f6a2aa859d088ba528a02fa0170009c434ef5"),
+    (3, 2, "symmetric"): (
+        0, "248f0002557babee7e08d977704583ac0b40bbf2538e1aaaeb191f45be9cd047"),
+    (2, 3, "mixed"): (
+        0, "31bfdbf86659c1843af8a6e9fbc8ed57887076c6ae0bc3841e795138aeebaddf"),
+    (2, 3, "general"): (
+        0, "f6756e056bc38641cd44ba85f9b705b754334a313405c5fe175b3d84aab7294b"),
+    (2, 3, "z"): (
+        0, "2a197ea898332532d449142dccd70c0c693a8b09e29cb25876bf5e936481ecb3"),
+    (2, 3, "circulant"): (
+        0, "44b14a19291e4f27529d100410a34bdea12c62b44e1e0316412a77006fc4d815"),
+    (2, 3, "symmetric"): (
+        0, "b72231b6a920470de2969d02c3ba343ba927724bfdef896242a6b0ae25c20bbd"),
+    (2, 2, "mixed"): (
+        0, "bb5152473d695cffe3cdc8cf1d2be592d5a449fd83180bf738542a3f892416fa"),
+    (3, 1, "mixed"): (
+        0, "94726084985de4e2ff621bdc29c5d0521f817668e1c9e59600aaab710a45e940"),
+}
+
+
+def _cross_validate(m, n, structure, capsys):
+    capsys.readouterr()
+    code = main(["cross-validate", "--trials", "50", "--seed", "2", "--m", str(m),
+                 "--n", str(n), "--structure", structure])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m,n,structure", sorted(CROSS_VALIDATE))
+def test_cross_validate_bytes_pinned(m, n, structure, capsys):
+    assert _cross_validate(m, n, structure, capsys) == CROSS_VALIDATE[(m, n, structure)]
+
+
+def _flip_every(fn, period, phase):
+    """``fn`` with HOLDS and FAILS swapped on calls phase, phase + period, ..."""
+    calls = [0]
+
+    def flipped(*args, **kwargs):
+        verdict = fn(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] % period != phase or verdict.status is Status.INCONCLUSIVE:
+            return verdict
+        status = Status.FAILS if verdict.holds() else Status.HOLDS
+        return replace(verdict, status=status)
+
+    return flipped
+
+
+def test_cross_validate_counterexamples_pinned(monkeypatch, capsys):
+    """Classifiers that disagree on a fixed schedule of calls: the ids of the
+    properties, and the order, trials and instances of the counterexamples,
+    are pinned; the schedule counts calls, so the order of the suite's
+    classifier calls is pinned too."""
+    monkeypatch.setattr(oracle, "check_interval_b",
+                        _flip_every(oracle.check_interval_b, 7, 3))
+    monkeypatch.setattr(oracle, "check_interval_double_b",
+                        _flip_every(oracle.check_interval_double_b, 5, 2))
+    assert _cross_validate(3, 2, "mixed", capsys) == (
+        1, "d315356633f8510423175690fc09ba502a2a1a0e44e9a7b67bf1a810474208ae")

@@ -238,6 +238,18 @@ class TestVertexIter:
             list(vertex_iter(family_double_b, limit=100))
         assert exc.value.required == 256
 
+    def test_budget_guard_on_a_box_past_the_int_to_str_limit(self):
+        # 2**15129 has 4555 decimal digits, past int-to-str's 4300 limit.
+        n = 123
+        AI = make_interval(make_tensor(2, n, np.zeros(n * n)),
+                           make_tensor(2, n, np.ones(n * n)))
+        with pytest.raises(BudgetExceeded) as exc:
+            list(vertex_iter(AI))
+        assert exc.value.required == 1 << (n * n)
+        assert str(exc.value) == (
+            f"vertex enumeration needs 2**{n * n} tensors, limit is {2**20}"
+        )
+
     def test_vertices_satisfy_double_b_for_reference(self, family_double_b):
         assert all(
             check_double_b(v).holds() for v in vertex_iter(family_double_b)

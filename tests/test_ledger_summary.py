@@ -277,3 +277,19 @@ def test_equality_by_value():
         assert changed != ledger and tuple(changed) != tuple(ledger)
     assert ledger != list(ledger)[:-1]
     assert Ledger((), 3, 3) == Ledger((), 3, 3) == ()
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_dim_one_sides_are_floats(tol):
+    """A dim-1 row has no off-diagonal position; its empty off-diagonal sum
+    enters every ledger and witness as a float, not as the integer 0."""
+    for AI in FAMILIES["dim_one"]():
+        verdicts = [check_interval_b(AI, meth, tol=tol) for meth in INTERVAL_B_METHODS]
+        verdicts += [check_interval_double_b(AI, tol=tol),
+                     check_interval_b_zfast(AI, tol=tol),
+                     check_interval_circulant(AI, tol=tol)]
+        sides = [(w.lhs, w.rhs) for w in (v.witness for v in verdicts) if w]
+        for label, ledger in ledgers(AI, tol):
+            assert len(ledger) > 0, label
+            sides += [(rec.lhs, rec.rhs) for rec in ledger]
+        assert all(isinstance(x, float) for pair in sides for x in pair)

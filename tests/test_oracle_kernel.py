@@ -46,7 +46,7 @@ def reference_vertices(AI, limit=DEFAULT_VERTEX_LIMIT):
     required = 1 << len(var)
     if required > limit:
         raise BudgetExceeded(
-            f"vertex enumeration needs {required} tensors, limit is {limit}",
+            f"vertex enumeration needs 2**{len(var)} tensors, limit is {limit}",
             required,
         )
     lower = AI.lower.entries
