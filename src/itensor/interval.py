@@ -25,6 +25,7 @@ from .tensor import (
     json_order_dim,
     make_tensor,
     offdiag_tail_flats,
+    row_layout,
     tail_to_flat,
 )
 
@@ -57,11 +58,12 @@ DEFAULT_VERTEX_LIMIT = 2**20
 class IntervalTensor:
     """The box of tensors between two entrywise-ordered bound tensors."""
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("lower", "upper", "_kernel")
 
     def __init__(self, lower: Tensor, upper: Tensor):
         self.lower = lower
         self.upper = upper
+        self._kernel = None  # interval_classify's row quantities, on first use
 
     @property
     def order(self) -> int:
@@ -140,19 +142,15 @@ def contains(AI: IntervalTensor, A: Tensor) -> bool:
 def is_interval_z(AI: IntervalTensor) -> bool:
     """True iff every member is a Z tensor, i.e. every off-diagonal upper
     bound is <= 0."""
-    upper = AI.upper
-    for i1 in range(AI.dim):
-        row = upper.row_list(i1)
-        for f in offdiag_tail_flats(upper, i1):
-            if row[f] > 0.0:
-                return False
-    return True
+    od = row_layout(AI.order, AI.dim).od_flat
+    return not (AI.upper.entries[od] > 0.0).any()
 
 
 def is_symmetric_interval(AI: IntervalTensor) -> bool:
-    """Symmetric interval: midpoint and radius are both symmetric tensors."""
-    mid, rad = midpoint_radius(AI)
-    return is_symmetric(mid) and is_symmetric(rad)
+    """Symmetric interval: midpoint and radius are both symmetric tensors,
+    which over the reals holds exactly when both bounds are symmetric; the
+    bounds are tested, so no midpoint is computed, and none overflows."""
+    return is_symmetric(AI.lower) and is_symmetric(AI.upper)
 
 
 def _tail_flat(AI: IntervalTensor, tail: int | Sequence[int]) -> int:

@@ -14,9 +14,10 @@ Every criterion returns the package's one :class:`~itensor.classify.Verdict`,
 whose ``conditions`` carry the full ledger of evaluated conditions so a
 reported status can be recomputed from the inputs.  A :class:`Ledger` is a
 sequence of :class:`ConditionRecord` stored as columns, one block per run
-of a condition id, and builds each record only when it is read; the
-double-B test fills its blocks as numpy arrays, the other criteria from
-Python lists.  ``verdict_report`` (also bound here as
+of a condition id, and builds each record only when it is read.  Every
+criterion fills its blocks with numpy arrays from one row kernel, kept with
+the family (``_RowKernel``); the alternative forms of a test are
+restatements over its arrays.  ``verdict_report`` (also bound here as
 ``interval_verdict_report``) writes it as ``Ledger.dicts()``, a lazy
 sequence of dicts, not a list; ``Ledger.summary()`` condenses it to one
 group per condition id and row (or row pair), the form the CLI writes by
@@ -28,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import repeat
 from typing import NamedTuple
 
@@ -41,25 +42,15 @@ from .classify import (
     DichotomyAnomaly,
     check_double_b,
     verdict_report,
-    _ge,
-    _gt,
 )
 from .interval import (
     IntervalTensor,
-    argmax_upper_offdiag,
     extreme_hat,
     extreme_row_max_except,
     is_interval_z,
     is_symmetric_interval,
 )
-from .tensor import (
-    diag_tail_flat,
-    is_circulant,
-    offdiag_tail_flats,
-    ordered_sum,
-    row_layout,
-    tail1,
-)
+from .tensor import is_circulant, row_layout, tail1
 
 __all__ = [
     "ConditionRecord",
@@ -84,6 +75,16 @@ __all__ = [
 ]
 
 INTERVAL_B_METHODS = ("theorem", "compact", "slack", "pairwise")
+
+
+def _ieee(criterion):
+    """Run ``criterion`` in a fresh errstate of its own: overflow gives the
+    IEEE values the scalar definitions give, without numpy's warnings."""
+    @wraps(criterion)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return criterion(*args, **kwargs)
+    return run
 
 
 @dataclass(frozen=True)
@@ -325,6 +326,7 @@ class Ledger(Sequence):
             for key, (evaluated, failed, tk, _, fk) in groups.items()
         ]
 
+    @_ieee
     def _groups_by_sort(self) -> list[tuple]:
         """The groups of ``_groups_by_record``, in one numpy pass."""
         runs = self._ids()
@@ -416,47 +418,6 @@ class LedgerDicts(Sequence):
         return map(_record_dict, self.ledger)
 
 
-class _LedgerBuilder:
-    """Fills a ledger one record at a time from Python values.
-
-    A new block opens whenever the condition id, or which of the optional
-    columns it uses, changes from the previous record.
-    """
-
-    def __init__(self, AI: IntervalTensor):
-        self.AI = AI
-        self.blocks: list[LedgerBlock] = []
-        self._key = None
-
-    def add(self, condition, row, lhs, rhs, passed, tail=None, pair_row=None,
-            pair_tail=None) -> None:
-        key = (condition, pair_row is None, tail is None, pair_tail is None)
-        if key != self._key:
-            self._key = key
-            self.blocks.append(
-                LedgerBlock(
-                    condition, [], [], [], [],
-                    None if pair_row is None else [],
-                    None if tail is None else [],
-                    None if pair_tail is None else [],
-                )
-            )
-        b = self.blocks[-1]
-        b.rows.append(row)
-        b.lhs.append(lhs)
-        b.rhs.append(rhs)
-        b.passed.append(passed)
-        if pair_row is not None:
-            b.pair_rows.append(pair_row)
-        if tail is not None:
-            b.tails.append(tail)
-        if pair_tail is not None:
-            b.pair_tails.append(pair_tail)
-
-    def ledger(self) -> Ledger:
-        return Ledger(self.blocks, self.AI.order, self.AI.dim)
-
-
 @dataclass(frozen=True)
 class IntervalDichotomy:
     """kind is ``interval_b``, ``critical_row`` or ``not_double_b``; a
@@ -479,62 +440,182 @@ class NecessaryReport:
     member_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
-def _excl_sum(u_val: float, lrow: list[float], od: tuple[int, ...], skip: int) -> float:
-    """Sum of (u_val - lower entry) over off-diagonal positions except ``skip``."""
-    s = 0.0
-    for t in od:
-        if t != skip:
-            s += u_val - lrow[t]
-    return s
+class _IndexColumn(tuple):
+    """A cached layout index column: a tuple of ints for records and the
+    full report writer, whose integer array ``Ledger._column`` builds once,
+    on first use."""
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return np.array(self, dtype=np.intp)
 
 
-class _Rows:
-    """Per-row endpoint quantities shared by the interval criteria."""
+def _col(a) -> _IndexColumn:
+    return _IndexColumn(np.asarray(a).ravel().tolist())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Layout(NamedTuple):
+    """The tables of one (order, dim): index columns as LedgerBlock keywords
+    (``_IndexColumn``s of 0-based rows and flat tails) and kernel masks."""
+
+    row: dict  # one record per row
+    position: dict  # one record per off-diagonal position
+    zeros: np.ndarray  # (n,) the right side 0.0 of the row-sum conditions
+    not_self: np.ndarray  # (q, q) off-diagonal t is not k
+    not_at: np.ndarray  # (n, q, q + 1) position p is not od[i, k]
+
+
+@lru_cache(maxsize=32)
+def _layout(order: int, dim: int) -> _Layout:
+    od = row_layout(order, dim).od
+    n, q = od.shape
+    rows = np.arange(n)
+    return _Layout(
+        {"rows": _col(rows)},
+        {"rows": _col(np.repeat(rows, q)), "tails": _col(od)},
+        _frozen(np.zeros(n)),
+        _frozen(~np.eye(q, dtype=bool)),
+        _frozen(od[:, :, None] != np.arange(q + 1)),
+    )
+
+
+@lru_cache(maxsize=32)
+def _pair_layout(order: int, dim: int) -> tuple[dict, dict, dict]:
+    """The c1, c2 and c3 index columns of the double-B ledger, apart from
+    ``_layout`` because c1 alone holds n (n - 1) q**2 / 2 records."""
+    lay = row_layout(order, dim)
+    iu, ju, ii, jj, od = lay.iu, lay.ju, lay.ii, lay.jj, lay.od
+    q = od.shape[1]
+    square = (len(iu), q, q)
+    return (
+        {"rows": _col(np.repeat(iu, q * q)), "pair_rows": _col(np.repeat(ju, q * q)),
+         "tails": _col(np.broadcast_to(od[iu][:, :, None], square)),
+         "pair_tails": _col(np.broadcast_to(od[ju][:, None, :], square))},
+        {"rows": _col(np.repeat(ii, q)), "pair_rows": _col(np.repeat(jj, q)),
+         "tails": _col(od[ii])},
+        {"rows": _col(iu), "pair_rows": _col(ju)},
+    )
+
+
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Read-only sums over the last axis, added to +0.0 in ascending order:
+    ``np.add.accumulate`` starts from the first term, which differs only
+    when every term is -0.0, and adding +0.0 mends that.  A term left out
+    is set to +0.0, not multiplied by a mask (inf * 0 is NaN)."""
+    if not x.shape[-1]:
+        return _frozen(np.zeros(x.shape[:-1]))
+    return _frozen(np.add.accumulate(x, axis=-1)[..., -1] + 0.0)
+
+
+def _pos(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) as Python evaluates it: +0.0 unless x > 0, so a -0.0
+    reads +0.0 (np.maximum would keep the -0.0)."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+class _RowKernel:
+    """The endpoint quantities every criterion reads, (n,) per row and
+    (n, q) per off-diagonal position in ascending offset order, each built
+    on first use and kept with the family (``_kernel``), so the criteria
+    run on one family gather and sum it once; read-only, since ledgers hand
+    them out.  Each is the double the scalar definition gives: differences
+    and products are elementwise, sums run from +0.0 in ascending offset
+    order (``_ordered_sum``), and ``_pos`` is max(0.0, x)."""
 
     def __init__(self, AI: IntervalTensor):
-        self.AI = AI
-        n = AI.dim
-        self.lrow = [AI.lower.row_list(i) for i in range(n)]
-        self.urow = [AI.upper.row_list(i) for i in range(n)]
-        self.od = [offdiag_tail_flats(AI.lower, i) for i in range(n)]
-        self.ldiag = [
-            self.lrow[i][diag_tail_flat(i, AI.order, n)] for i in range(n)
-        ]
-        # Negated lower off-diagonal row sums; a row without off-diagonal
-        # positions (dim 1) gets the float +0.0, not the empty sum's int 0.
-        self.neg_lsum_od = [
-            -ordered_sum(self.lrow[i][t] for t in self.od[i]) if self.od[i] else 0.0
-            for i in range(n)
-        ]
+        self.bounds = (AI.lower, AI.upper)
+        self.idx = row_layout(AI.order, AI.dim)
+        self.lay = _layout(AI.order, AI.dim)
+        lower, upper = AI.lower.entries, AI.upper.entries
+        self.ldiag = _frozen(lower[self.idx.diag_flat])  # lower diagonals
+        self.lod = _frozen(lower[self.idx.od_flat])  # lower off-diagonals
+        self.uod = _frozen(upper[self.idx.od_flat])  # upper off-diagonals
 
-    def lrow_total(self, i1: int) -> float:
-        return ordered_sum(self.lrow[i1])
+    @cached_property
+    def total(self) -> np.ndarray:  # lower row sums over every position
+        return _ordered_sum(self.bounds[0].entries.reshape(len(self.ldiag), -1))
 
-    def excl(self, i1: int, j: int) -> float:
-        """Slack sum of row i1 anchored at j's upper bound, skipping j."""
-        return _excl_sum(self.urow[i1][j], self.lrow[i1], self.od[i1], j)
+    @cached_property
+    def others(self) -> np.ndarray:  # ... over every position but od[i, k]
+        lower = self.bounds[0].entries.reshape(len(self.ldiag), 1, -1)
+        return _ordered_sum(np.where(self.lay.not_at, lower, 0.0))
 
-    def max_upper_od(self, i1: int) -> float | None:
-        k = argmax_upper_offdiag(self.AI, i1)
-        return None if k is None else self.urow[i1][k]
+    @cached_property
+    def slack(self) -> np.ndarray:  # sum over t of uod[i, k] - lod[i, t]
+        return _ordered_sum(self.uod[:, :, None] - self.lod[:, None, :])
+
+    @cached_property
+    def excl(self) -> np.ndarray:  # ... over t != k
+        terms = self.uod[:, :, None] - self.lod[:, None, :]
+        return _ordered_sum(np.where(self.lay.not_self, terms, 0.0))
+
+    @cached_property
+    def gap(self) -> np.ndarray:  # lower diagonal - upper off-diagonal
+        return _frozen(self.ldiag[:, None] - self.uod)
+
+    @cached_property
+    def upos(self) -> np.ndarray:  # max(0, every upper off-diagonal)
+        return _frozen(_pos(self.uod.max(axis=1, initial=0.0)))
+
+    @cached_property
+    def negl(self) -> np.ndarray:  # minus the lower off-diagonal sum
+        if not self.lod.shape[1]:  # +0.0, not minus an empty sum
+            return self.lay.zeros
+        return _frozen(-_ordered_sum(self.lod))
+
+
+def _kernel(AI: IntervalTensor) -> _RowKernel:
+    k = AI._kernel
+    if k is None or k.bounds[0] is not AI.lower or k.bounds[1] is not AI.upper:
+        k = AI._kernel = _RowKernel(AI)
+    return k
+
+
+def _block(condition, lhs, rhs, tol, strict=True, **index) -> LedgerBlock:
+    """The records of one condition, ``lhs > rhs - tol`` (``>=`` unless
+    ``strict``); ``index`` holds the index columns."""
+    rhs_tol = rhs - tol if tol else rhs  # x - 0.0 is x, also for -0.0
+    passed = lhs > rhs_tol if strict else lhs >= rhs_tol
+    return LedgerBlock(condition, lhs=lhs, rhs=rhs, passed=passed, **index)
+
+
+def _ledger(AI: IntervalTensor, blocks) -> Ledger:
+    return Ledger([b for b in blocks if len(b.lhs)], AI.order, AI.dim)
 
 
 def _verdict(method: str, ledger: Ledger) -> Verdict:
     rec = ledger.first_failure()
     if rec is None:
         return Verdict(Status.HOLDS, method, conditions=ledger)
-    witness = Witness(
-        rec.rows[0],
-        rec.condition,
-        rec.lhs,
-        rec.rhs,
-        rec.tail,
-        rec.rows[1] if len(rec.rows) > 1 else None,
-        rec.pair_tail,
-    )
+    pair_row = rec.rows[1] if len(rec.rows) > 1 else None
+    witness = Witness(rec.rows[0], rec.condition, rec.lhs, rec.rhs, rec.tail,
+                      pair_row, rec.pair_tail)
     return Verdict(Status.FAILS, method, witness, ledger)
 
 
+def _interval_b_blocks(k: _RowKernel, method: str, tol: float) -> tuple:
+    lay, q = k.lay, k.uod.shape[1]
+    if method == "compact" and q:
+        rhs = _pos(q * k.uod + k.lod).ravel()
+        return (_block("b", np.repeat(k.total, q), rhs, tol, **lay.position),)
+    total = _block("a", k.total, lay.zeros, tol, **lay.row)
+    if method == "compact":
+        return (total,)
+    if method == "theorem":
+        lhs, rhs = k.others, q * k.uod
+    elif method == "slack":
+        lhs, rhs = k.ldiag[:, None] - k.lod, k.slack
+    else:  # pairwise
+        lhs, rhs = k.gap, k.excl
+    return total, _block("b", lhs.ravel(), rhs.ravel(), tol, **lay.position)
+
+
+@_ieee
 def check_interval_b(
     AI: IntervalTensor, method: str = "theorem", tol: float = 0.0
 ) -> Verdict:
@@ -548,69 +629,22 @@ def check_interval_b(
     """
     if method not in INTERVAL_B_METHODS:
         raise ValueError(f"unknown interval B method {method!r}")
-    rows = _Rows(AI)
-    n, r = AI.dim, AI.row_len
-    led = _LedgerBuilder(AI)
-
-    if method == "theorem":
-        for i1 in range(n):
-            s = rows.lrow_total(i1)
-            led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
-        for i1 in range(n):
-            lrow, urow = rows.lrow[i1], rows.urow[i1]
-            for j in rows.od[i1]:
-                lhs = 0.0
-                for t in range(r):
-                    if t != j:
-                        lhs += lrow[t]
-                rhs = (r - 1) * urow[j]
-                led.add("b", i1, lhs, rhs, _gt(lhs, rhs, tol), j)
-    elif method == "compact":
-        for i1 in range(n):
-            s = rows.lrow_total(i1)
-            if not rows.od[i1]:
-                led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
-                continue
-            for j in rows.od[i1]:
-                rhs = max(0.0, (r - 1) * rows.urow[i1][j] + rows.lrow[i1][j])
-                led.add("b", i1, s, rhs, _gt(s, rhs, tol), j)
-    elif method == "slack":
-        for i1 in range(n):
-            s = rows.lrow_total(i1)
-            led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
-        for i1 in range(n):
-            lrow, urow = rows.lrow[i1], rows.urow[i1]
-            for j in rows.od[i1]:
-                lhs = rows.ldiag[i1] - lrow[j]
-                rhs = 0.0
-                for t in rows.od[i1]:
-                    rhs += urow[j] - lrow[t]
-                led.add("b", i1, lhs, rhs, _gt(lhs, rhs, tol), j)
-    else:  # pairwise
-        for i1 in range(n):
-            s = rows.lrow_total(i1)
-            led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
-        for i1 in range(n):
-            for j in rows.od[i1]:
-                lhs = rows.ldiag[i1] - rows.urow[i1][j]
-                rhs = rows.excl(i1, j)
-                led.add("b", i1, lhs, rhs, _gt(lhs, rhs, tol), j)
-    return _verdict(f"interval_b_{method}", led.ledger())
+    blocks = _interval_b_blocks(_kernel(AI), method, tol)
+    return _verdict(f"interval_b_{method}", _ledger(AI, blocks))
 
 
+@_ieee
 def check_interval_b_zfast(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Fast B-family test for interval Z tensors: positive lower row sums
     alone decide membership."""
     if not is_interval_z(AI):
         raise ValueError("interval is not an interval Z tensor")
-    rows = _Rows(AI)
-    led = _LedgerBuilder(AI)
-    for i1 in range(AI.dim):
-        s = rows.lrow_total(i1)
-        led.add("a", i1, s, 0.0, _gt(s, 0.0, tol))
-    return _verdict("interval_b_zfast", led.ledger())
+    k = _kernel(AI)
+    block = _block("a", k.total, k.lay.zeros, tol, **k.lay.row)
+    return _verdict("interval_b_zfast", _ledger(AI, (block,)))
 
 
+@_ieee
 def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryReport:
     """Necessary conditions for the interval B class.
 
@@ -619,80 +653,20 @@ def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryRepor
     either bound (id b); and it beats the largest off-diagonal upper bound
     (id r).  Any failure certifies the family is not interval B.
     """
-    rows = _Rows(AI)
-    led = _LedgerBuilder(AI)
-    for i1 in range(AI.dim):
-        lrow = rows.lrow[i1]
-        neg = 0.0
-        for t in rows.od[i1]:
-            if lrow[t] < 0.0:
-                neg += -lrow[t]
-        led.add("a", i1, rows.ldiag[i1], neg, _gt(rows.ldiag[i1], neg, tol))
-    for i1 in range(AI.dim):
-        for t in rows.od[i1]:
-            rhs = max(abs(rows.urow[i1][t]), abs(rows.lrow[i1][t]))
-            led.add("b", i1, rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol), t)
-    for i1 in range(AI.dim):
-        m = rows.max_upper_od(i1)
-        rhs = max(0.0, m) if m is not None else 0.0
-        led.add("r", i1, rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol))
-    ledger = led.ledger()
-    return NecessaryReport(
-        "interval_b_necessary", ledger.first_failure() is None, ledger
-    )
+    k = _kernel(AI)
+    lay, ldiag, lod = k.lay, k.ldiag, k.lod
+    neg = _ordered_sum(np.where(lod < 0.0, -lod, 0.0))
+    magnitude = np.maximum(np.abs(k.uod), np.abs(lod)).ravel()
+    ledger = _ledger(AI, (
+        _block("a", ldiag, neg, tol, **lay.row),
+        _block("b", np.repeat(ldiag, lod.shape[1]), magnitude, tol, **lay.position),
+        _block("r", ldiag, k.upos, tol, **lay.row),
+    ))
+    passed = ledger.first_failure() is None
+    return NecessaryReport("interval_b_necessary", passed, ledger)
 
 
-class _IndexColumn(tuple):
-    """A cached layout index column: a tuple of ints for records and the
-    full report writer, whose integer array ``Ledger._column`` builds once,
-    on first use."""
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self, dtype=np.intp)
-
-
-class _DoubleBLayout(NamedTuple):
-    """Index columns of the double-B ledger blocks for one (order, dim):
-    ``_IndexColumn``s of 0-based rows and flat tails."""
-
-    rows: tuple  # a, b2
-    b1: tuple  # (rows, tails)
-    c1: tuple  # (rows, pair_rows, tails, pair_tails)
-    c2: tuple  # (rows, pair_rows, tails)
-    c3: tuple  # (rows, pair_rows)
-
-
-@lru_cache(maxsize=32)
-def _double_b_layout(order: int, dim: int) -> _DoubleBLayout:
-    lay = row_layout(order, dim)
-    n, q = lay.od.shape
-    row_ids = np.arange(n)
-    iu, ju, ii, jj, od = lay.iu, lay.ju, lay.ii, lay.jj, lay.od
-
-    def col(a) -> _IndexColumn:
-        return _IndexColumn(np.asarray(a).ravel().tolist())
-
-    return _DoubleBLayout(
-        rows=col(row_ids),
-        b1=(col(np.repeat(row_ids, q)), col(od)),
-        c1=(
-            col(np.repeat(iu, q * q)),
-            col(np.repeat(ju, q * q)),
-            col(np.broadcast_to(od[iu][:, :, None], (len(iu), q, q))),
-            col(np.broadcast_to(od[ju][:, None, :], (len(iu), q, q))),
-        ),
-        c2=(col(np.repeat(ii, q)), col(np.repeat(jj, q)), col(od[ii])),
-        c3=(col(iu), col(ju)),
-    )
-
-
-def _pos(x: np.ndarray) -> np.ndarray:
-    """max(0.0, x) as Python evaluates it: +0.0 unless x > 0, so a -0.0
-    reads +0.0 (np.maximum would keep the -0.0)."""
-    return np.where(x > 0.0, x, 0.0)
-
-
+@_ieee
 def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Decide whether every member of the box is a double B-tensor.
 
@@ -713,63 +687,30 @@ def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
         product of the b2 right sides.
 
     The witness is the lexicographically first failure in the order
-    a, b1, b2, c1, c2, c3, then rows, then tail offsets.
-
-    Each condition is one block of array columns.  Every value is the same
-    double the scalar definition gives: differences and products are
-    elementwise, and sums run from +0.0 in ascending offset order.
+    a, b1, b2, c1, c2, c3, then rows, then tail offsets.  Each condition is
+    one block of array columns from the row kernel.
     """
-    idx = row_layout(AI.order, AI.dim)
-    lay = _double_b_layout(AI.order, AI.dim)
-    n, q = idx.od.shape
-    rows = np.arange(n)
-    lower = AI.lower.entries.reshape(n, -1)
-    ldiag = lower[rows, idx.diag]
-    lod = lower[rows[:, None], idx.od]
-    uod = AI.upper.entries.reshape(n, -1)[rows[:, None], idx.od]
-
-    a_rhs = _pos(uod.max(axis=1, initial=0.0))
-    gap = ldiag[:, None] - uod
-    # terms[i, k, t] = u[i, k] - l[i, t]; position k skips itself, and
-    # adding +0.0 leaves a sum that starts from +0.0 unchanged.
-    terms = uod[:, :, None] - lod[:, None, :]
-    terms[:, np.arange(q), np.arange(q)] = 0.0
-    slack = np.zeros((n, q))
-    lsum = np.zeros(n)
-    for t in range(q):
-        slack += terms[:, :, t]
-        lsum += lod[:, t]
-    b1_rhs = _pos(slack)
-    negsum = _pos(-lsum)
-
+    k = _kernel(AI)
+    ldiag, gap, idx = k.ldiag, k.gap, k.idx
+    b1_rhs, negsum = _pos(k.excl), _pos(k.negl)
     iu, ju, ii, jj = idx.iu, idx.ju, idx.ii, idx.jj
     c1_lhs = (gap[iu][:, :, None] * gap[ju][:, None, :]).ravel()
     c1_rhs = (b1_rhs[iu][:, :, None] * b1_rhs[ju][:, None, :]).ravel()
     c2_lhs = (gap[ii] * ldiag[jj][:, None]).ravel()
     c2_rhs = (b1_rhs[ii] * negsum[jj][:, None]).ravel()
-    c3_lhs = ldiag[iu] * ldiag[ju]
-    c3_rhs = negsum[iu] * negsum[ju]
-    gap, b1_rhs = gap.ravel(), b1_rhs.ravel()
-
-    b1_rows, b1_tails = lay.b1
-    c1_rows, c1_pairs, c1_tails, c1_pair_tails = lay.c1
-    c2_rows, c2_pairs, c2_tails = lay.c2
-    c3_rows, c3_pairs = lay.c3
+    c1, c2, c3 = _pair_layout(AI.order, AI.dim)
     blocks = (
-        LedgerBlock("a", lay.rows, ldiag, a_rhs, ldiag > a_rhs - tol),
-        LedgerBlock("b1", b1_rows, gap, b1_rhs, gap >= b1_rhs - tol,
-                    tails=b1_tails),
-        LedgerBlock("b2", lay.rows, ldiag, negsum, ldiag >= negsum - tol),
-        LedgerBlock("c1", c1_rows, c1_lhs, c1_rhs, c1_lhs > c1_rhs - tol,
-                    c1_pairs, c1_tails, c1_pair_tails),
-        LedgerBlock("c2", c2_rows, c2_lhs, c2_rhs, c2_lhs > c2_rhs - tol,
-                    c2_pairs, c2_tails),
-        LedgerBlock("c3", c3_rows, c3_lhs, c3_rhs, c3_lhs > c3_rhs - tol,
-                    c3_pairs),
+        _block("a", ldiag, k.upos, tol, **k.lay.row),
+        _block("b1", gap.ravel(), b1_rhs.ravel(), tol, False, **k.lay.position),
+        _block("b2", ldiag, negsum, tol, False, **k.lay.row),
+        _block("c1", c1_lhs, c1_rhs, tol, **c1),
+        _block("c2", c2_lhs, c2_rhs, tol, **c2),
+        _block("c3", ldiag[iu] * ldiag[ju], negsum[iu] * negsum[ju], tol, **c3),
     )
-    return _verdict("interval_double_b", Ledger(blocks, AI.order, AI.dim))
+    return _verdict("interval_double_b", _ledger(AI, blocks))
 
 
+@_ieee
 def classify_interval_double_b_dichotomy(
     AI: IntervalTensor, tol: float = 0.0
 ) -> IntervalDichotomy:
@@ -783,35 +724,23 @@ def classify_interval_double_b_dichotomy(
     """
     if not check_interval_double_b(AI, tol=tol).holds():
         return IntervalDichotomy("not_double_b")
-    rows = _Rows(AI)
-    failing: list[tuple[int, str, int | None]] = []
-    for i1 in range(AI.dim):
-        s = rows.lrow_total(i1)
-        if not _gt(s, 0.0, tol):
-            failing.append((i1, "nonpositive_row_sum", None))
-            continue
-        for j in rows.od[i1]:
-            lhs = rows.ldiag[i1] - rows.urow[i1][j]
-            if not _gt(lhs, rows.excl(i1, j), tol):
-                failing.append((i1, "slack_equality", j))
-                break
+    total, pairwise = _interval_b_blocks(_kernel(AI), "pairwise", tol)
+    slack_ok = pairwise.passed.reshape(AI.dim, -1)
+    failing = np.flatnonzero(~total.passed | ~slack_ok.all(axis=1)).tolist()
     if not failing:
         return IntervalDichotomy("interval_b")
     if len(failing) > 1:
+        rows = [i + 1 for i in failing]
         raise DichotomyAnomaly(
-            f"critical-row conditions fail in rows {[f[0] + 1 for f in failing]},"
-            " expected exactly one",
-            [f[0] + 1 for f in failing],
-        )
-    i1, mode, j = failing[0]
-    return IntervalDichotomy(
-        "critical_row",
-        i1 + 1,
-        mode,
-        None if j is None else tail1(AI, j),
-    )
+            f"critical-row conditions fail in rows {rows}, expected exactly one", rows)
+    i = failing[0]
+    if not total.passed[i]:
+        return IntervalDichotomy("critical_row", i + 1, "nonpositive_row_sum")
+    j = row_layout(AI.order, AI.dim).od[i, slack_ok[i].argmin()]
+    return IntervalDichotomy("critical_row", i + 1, "slack_equality", tail1(AI, j))
 
 
+@_ieee
 def interval_double_b_necessary(
     AI: IntervalTensor, variant: str = "extremes", tol: float = 0.0
 ) -> NecessaryReport:
@@ -820,60 +749,55 @@ def interval_double_b_necessary(
     extremes: the lower bound and, for each row index i, the member raising
     every other row's largest-upper off-diagonal position must all be double
     B-tensors.  rowmax: the six endpoint conditions evaluated only at each
-    row's argmax position, with the branch chosen by that maximum's sign.
+    row's argmax position, with the branch chosen by that maximum's sign:
+    rows whose largest off-diagonal upper bound is positive take b1 at it,
+    the others b2 (without the clamp at 0), and each row pair c1, c2 or c3
+    by the branches of its rows.  Records come in the order a, b1, b2, c1,
+    c2, c3, then rows.
     """
     if variant == "extremes":
-        members = [("lower", AI.lower)]
-        for i1 in range(AI.dim):
-            members.append(
-                (f"row_max_except_{i1 + 1}", extreme_row_max_except(AI, i1))
-            )
+        members = [("lower", AI.lower)] + [
+            (f"row_max_except_{i + 1}", extreme_row_max_except(AI, i))
+            for i in range(AI.dim)
+        ]
         verdicts = tuple((label, check_double_b(T, tol=tol)) for label, T in members)
-        return NecessaryReport(
-            "extremes",
-            all(v.holds() for _, v in verdicts),
-            member_verdicts=verdicts,
-        )
+        passed = all(v.holds() for _, v in verdicts)
+        return NecessaryReport("extremes", passed, member_verdicts=verdicts)
     if variant != "rowmax":
         raise ValueError(f"unknown variant {variant!r}")
 
-    rows = _Rows(AI)
-    n = AI.dim
-    led = _LedgerBuilder(AI)
-    arg = [argmax_upper_offdiag(AI, i1) for i1 in range(n)]
-    maxu = [None if arg[i1] is None else rows.urow[i1][arg[i1]] for i1 in range(n)]
-    # Rows without off-diagonal positions behave like the nonpositive branch.
-    positive = [m is not None and m > 0.0 for m in maxu]
+    k = _kernel(AI)
+    n, q = k.uod.shape
+    # Each row's first largest off-diagonal upper bound: a positive one takes
+    # b1 there, the others (and rows at dim 1) b2.  left and right are the
+    # sides of that condition, the factors of the row's c sides.
+    rows, up, left, right = np.arange(n), k.upos > 0.0, k.ldiag, k.negl
+    tails = np.zeros(n, dtype=np.intp)
+    if q:
+        at = (rows, k.uod.argmax(axis=1))
+        tails = k.idx.od[at]
+        left, right = np.where(up, k.gap[at], left), np.where(up, k.excl[at], right)
+    ii, jj = k.idx.ii, k.idx.jj
+    up_i, up_j, first = up[ii], up[jj], ii < jj
 
-    for i1 in range(n):
-        rhs = max(0.0, maxu[i1]) if maxu[i1] is not None else 0.0
-        led.add("a", i1, rows.ldiag[i1], rhs, _gt(rows.ldiag[i1], rhs, tol))
-    for i1 in range(n):
-        if positive[i1]:
-            lhs = rows.ldiag[i1] - maxu[i1]
-            rhs = rows.excl(i1, arg[i1])
-            led.add("b1", i1, lhs, rhs, _ge(lhs, rhs, tol), arg[i1])
-        else:
-            rhs = rows.neg_lsum_od[i1]
-            led.add("b2", i1, rows.ldiag[i1], rhs, _ge(rows.ldiag[i1], rhs, tol))
-    for i1 in range(n):
-        for j1 in range(i1 + 1, n):
-            if positive[i1] and positive[j1]:
-                lhs = (rows.ldiag[i1] - maxu[i1]) * (rows.ldiag[j1] - maxu[j1])
-                rhs = rows.excl(i1, arg[i1]) * rows.excl(j1, arg[j1])
-                led.add("c1", i1, lhs, rhs, _gt(lhs, rhs, tol), arg[i1], j1, arg[j1])
-            elif not positive[i1] and not positive[j1]:
-                lhs = rows.ldiag[i1] * rows.ldiag[j1]
-                rhs = rows.neg_lsum_od[i1] * rows.neg_lsum_od[j1]
-                led.add("c3", i1, lhs, rhs, _gt(lhs, rhs, tol), pair_row=j1)
-    for i1 in range(n):
-        for j1 in range(n):
-            if j1 == i1 or not positive[i1] or positive[j1]:
-                continue
-            lhs = (rows.ldiag[i1] - maxu[i1]) * rows.ldiag[j1]
-            rhs = rows.excl(i1, arg[i1]) * rows.neg_lsum_od[j1]
-            led.add("c2", i1, lhs, rhs, _gt(lhs, rhs, tol), arg[i1], j1)
-    ledger = led.ledger()
+    def block(cond, keep, i, j=None, strict=True):
+        c = keep.nonzero()[0]
+        i, j = i[c], j if j is None else j[c]
+        lhs, rhs = (left[i], right[i]) if j is None else (
+            left[i] * left[j], right[i] * right[j])
+        return _block(cond, lhs, rhs, tol, strict, rows=i.tolist(),
+                      pair_rows=None if j is None else j.tolist(),
+                      tails=tails[i].tolist() if cond in ("b1", "c1", "c2") else None,
+                      pair_tails=tails[j].tolist() if cond == "c1" else None)
+
+    ledger = _ledger(AI, (
+        _block("a", k.ldiag, k.upos, tol, **k.lay.row),
+        block("b1", up, rows, strict=False),
+        block("b2", ~up, rows, strict=False),
+        block("c1", up_i & up_j & first, ii, jj),
+        block("c2", up_i & ~up_j, ii, jj),
+        block("c3", ~(up_i | up_j) & first, ii, jj),
+    ))
     return NecessaryReport("rowmax", ledger.first_failure() is None, ledger)
 
 
@@ -889,24 +813,22 @@ def check_interval_double_b_dominance(AI: IntervalTensor, tol: float = 0.0) -> V
     method = "double_b_dominance"
     if AI.dim < 3:
         return Verdict(Status.INCONCLUSIVE, method)
-    rows = _Rows(AI)
-    for i1 in range(AI.dim):
-        lrow, urow = rows.lrow[i1], rows.urow[i1]
-        found = None
-        for k in rows.od[i1]:
-            if all(urow[t] <= lrow[k] for t in rows.od[i1] if t != k):
-                found = k
-                break
-        if found is None:
-            # Best candidate is the largest lower entry; report the upper
-            # bound elsewhere in the row that blocks it.
-            best = max(rows.od[i1], key=lambda t: lrow[t])
-            block = max(urow[t] for t in rows.od[i1] if t != best)
-            return Verdict(
-                Status.INCONCLUSIVE,
-                method,
-                Witness(i1 + 1, "hypothesis", lrow[best], block, tail1(AI, best)),
-            )
+    k = _kernel(AI)
+    lod, uod = k.lod, k.uod
+    n, q = lod.shape
+    # covers[i, k, t]: position t's upper bound is at or below k's lower bound.
+    covers = uod[:, None, :] <= lod[:, :, None]
+    covers.reshape(n, q * q)[:, :: q + 1] = True
+    dominated = covers.all(axis=2).any(axis=1)
+    if not dominated.all():
+        # Best candidate is the largest lower entry; report the upper bound
+        # elsewhere in the row that blocks it.
+        i = int(dominated.argmin())
+        best = int(lod[i].argmax())
+        block = max(u for t, u in enumerate(uod[i].tolist()) if t != best)
+        tail = tail1(AI, row_layout(AI.order, AI.dim).od[i, best])
+        witness = Witness(i + 1, "hypothesis", lod[i, best].item(), block, tail)
+        return Verdict(Status.INCONCLUSIVE, method, witness)
     report = interval_double_b_necessary(AI, "extremes", tol=tol)
     if report.passed:
         return Verdict(Status.HOLDS, method)
@@ -935,23 +857,22 @@ def check_interval_double_b_hat_sufficient(
     the whole family.  When either part fails the verdict is inconclusive.
     """
     method = "double_b_hat"
-    rows = _Rows(AI)
-    for i1 in range(AI.dim):
-        if not rows.od[i1]:
-            continue
-        maxl = max(rows.lrow[i1][t] for t in rows.od[i1])
-        if not _ge(maxl, 0.0, tol):
-            return Verdict(
-                Status.INCONCLUSIVE,
-                method,
-                Witness(i1 + 1, "hypothesis", maxl, 0.0),
-            )
+    lod = _kernel(AI).lod
+    if lod.shape[1]:
+        # The first largest entry, as Python's max picks it among equal zeros.
+        maxl = lod[np.arange(AI.dim), lod.argmax(axis=1)]
+        ok = maxl >= 0.0 - tol
+        if not ok.all():
+            i = int(ok.argmin())
+            witness = Witness(i + 1, "hypothesis", maxl[i].item(), 0.0)
+            return Verdict(Status.INCONCLUSIVE, method, witness)
     v = check_double_b(extreme_hat(AI), tol=tol)
     if v.holds():
         return Verdict(Status.HOLDS, method)
     return Verdict(Status.INCONCLUSIVE, method, v.witness)
 
 
+@_ieee
 def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """Row-0 criterion for families with circulant bounds.
 
@@ -962,15 +883,14 @@ def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     """
     if not (is_circulant(AI.lower) and is_circulant(AI.upper)):
         raise ValueError("interval bounds are not circulant")
-    rows = _Rows(AI)
-    led = _LedgerBuilder(AI)
-    rhs = rows.neg_lsum_od[0]
-    led.add("c1", 0, rows.ldiag[0], rhs, _gt(rows.ldiag[0], rhs, tol))
-    for j in rows.od[0]:
-        lhs = rows.ldiag[0] - rows.urow[0][j]
-        rhs = rows.excl(0, j)
-        led.add("c2", 0, lhs, rhs, _gt(lhs, rhs, tol), j)
-    return _verdict("interval_circulant", led.ledger())
+    k = _kernel(AI)
+    q = k.lod.shape[1]
+    tails = k.lay.position["tails"][:q]
+    blocks = (
+        _block("c1", k.ldiag[:1], k.negl[:1], tol, rows=(0,)),
+        _block("c2", k.gap[0], k.excl[0], tol, rows=(0,) * q, tails=tails),
+    )
+    return _verdict("interval_circulant", _ledger(AI, blocks))
 
 
 def interval_p_sufficient(AI: IntervalTensor, tol: float = 0.0) -> Verdict:

@@ -139,7 +139,7 @@ def make_tensor(order: int, dim: int, entries: Sequence[float] | np.ndarray) -> 
     if not finite.all():
         pos = int(np.argmin(finite))
         idx = tuple(int(c) + 1 for c in np.unravel_index(pos, (dim,) * order))
-        raise ValueError(f"non-finite entry {arr[pos]!r} at position {idx}")
+        raise ValueError(f"non-finite entry {float(arr[pos])} at position {idx}")
     return Tensor(order, dim, arr.copy())
 
 
@@ -218,6 +218,8 @@ class RowLayout(NamedTuple):
     ju: np.ndarray
     ii: np.ndarray  # ordered row pairs i != j, lexicographic
     jj: np.ndarray
+    diag_flat: np.ndarray  # (n,) flat entry positions of the diagonal
+    od_flat: np.ndarray  # (n, q) flat entry positions of ``od``
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -234,7 +236,9 @@ def row_layout(order: int, dim: int) -> RowLayout:
     od = np.nonzero(offdiag.T)[1].reshape(dim, r - 1)
     iu, ju = np.triu_indices(dim, 1)
     ii, jj = np.nonzero(~np.eye(dim, dtype=bool))
-    return RowLayout(*map(_read_only, (diag, od, offdiag, iu, ju, ii, jj)))
+    start = np.arange(dim) * r
+    fields = (diag, od, offdiag, iu, ju, ii, jj, start + diag, start[:, None] + od)
+    return RowLayout(*map(_read_only, fields))
 
 
 def _digits(order: int, dim: int) -> np.ndarray:

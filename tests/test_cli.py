@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from itensor import check_interval_b, check_interval_double_b, make_interval, make_tensor
-from itensor.cli import build_parser, dumps_report, main
+from itensor.cli import INTERVAL_CLASSES, build_parser, dumps_report, main
 from itensor.interval import interval_to_json
 from itensor.interval_classify import Ledger, LedgerDicts, interval_verdict_report
 from itensor.oracle import boundary_interval
+from itensor.tensor import circulant_from_first_row
 
 
 @pytest.fixture
@@ -236,6 +238,54 @@ class TestCheckVerb:
                      "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert out.strip() == "HOLDS"
+
+
+def _huge_circulant_file(tmp_path):
+    """An m=3, n=2 circulant family with lower diagonals 1e308 (upper
+    1.5e308) and off-diagonals in [-1e300, 1e300]: the double-B products
+    overflow to inf."""
+    lower = circulant_from_first_row([1e308, -1e300, 1e300, -1e300], 3, 2)
+    upper = circulant_from_first_row([1.5e308, 1e300, 1e300, 1e300], 3, 2)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(interval_to_json(make_interval(lower, upper))))
+    return str(path)
+
+
+class TestOverflowingFamilies:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--class", cls] for cls in INTERVAL_CLASSES] + [["classify"]],
+    )
+    def test_stderr_is_the_summary_line(self, argv, tmp_path, capsys):
+        # The overflowing products are IEEE infinities, not warnings: the
+        # summary line is all that reaches stderr.
+        path = _huge_circulant_file(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + [path])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        assert re.fullmatch(r"(HOLDS|FAILS|INCONCLUSIVE|kind \w+)(: [^\n]*)?\n", err)
+
+    def test_p_sufficient_midpoint_beyond_the_double_range(self, tmp_path, capsys):
+        # (lower + upper) / 2 overflows; symmetry of both bounds decides.
+        lower = make_tensor(2, 2, [1.5e308, 0.5, 0.5, 1.5e308])
+        upper = make_tensor(2, 2, [1.6e308, 1.0, 1.0, 1.6e308])
+        path = tmp_path / "near_max.json"
+        path.write_text(json.dumps(interval_to_json(make_interval(lower, upper))))
+        for cls in ("interval-b", "interval-p-sufficient"):
+            assert main(["check", "--class", cls, str(path)]) == 0
+            assert capsys.readouterr().err == "HOLDS\n"
+
+    def test_non_finite_entry_message(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"order": 2, "dim": 2, "lower": [1, 0, 0, 1], '
+                        '"upper": [Infinity, 0, 0, 1]}')
+        assert main(["check", "--class", "interval-b", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: non-finite entry inf at position (1, 1)\n"
+        )
 
 
 class TestClassifyVerb:

@@ -28,6 +28,7 @@ from itensor import (
     vertex_iter,
     zeros,
 )
+from itensor.tensor import offdiag_tail_flats
 
 
 class TestMakeInterval:
@@ -79,6 +80,14 @@ class TestMidpointRadius:
             family_double_b.lower, make_tensor(3, 2, arr)
         )
         assert not is_symmetric_interval(bent)
+
+    def test_symmetric_interval_beyond_midpoint_range(self):
+        # (lower + upper) / 2 overflows; both bounds are symmetric.
+        lower = make_tensor(2, 2, [1.5e308, 0.5, 0.5, 1.5e308])
+        upper = make_tensor(2, 2, [1.6e308, 1.0, 1.0, 1.6e308])
+        assert is_symmetric_interval(make_interval(lower, upper))
+        bent = make_tensor(2, 2, [1.6e308, 1.0, 0.75, 1.6e308])
+        assert not is_symmetric_interval(make_interval(lower, bent))
 
 
 class TestContains:
@@ -268,6 +277,28 @@ class TestIntervalZ:
     def test_degenerate_z(self):
         T = make_tensor(3, 2, [5, -1, -1, -1, -1, -1, -1, 5])
         assert is_interval_z(degenerate_interval(T))
+
+    def test_matches_per_row_scan(self):
+        # Diagonal uppers never count; -0.0 and +0.0 off-diagonals are <= 0.
+        def scan(AI):
+            return not any(
+                AI.upper.row_list(i)[f] > 0.0
+                for i in range(AI.dim)
+                for f in offdiag_tail_flats(AI.upper, i)
+            )
+
+        outcomes = set()
+        for m, n in ((2, 1), (3, 1), (3, 2), (2, 3), (4, 2), (3, 3)):
+            for seed in range(6):
+                AI = random_interval_tensor(GeneratorSpec(m, n, seed=seed))
+                upper = AI.upper.entries.copy()
+                if seed % 2:  # positive entries to signed zeros
+                    upper[upper > 0.0] = -0.0 if seed % 3 else 0.0
+                lower = np.minimum(AI.lower.entries, upper)
+                AI = make_interval(make_tensor(m, n, lower), make_tensor(m, n, upper))
+                assert is_interval_z(AI) is scan(AI)
+                outcomes.add(scan(AI))
+        assert outcomes == {True, False}
 
 
 class TestJson:
