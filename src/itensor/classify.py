@@ -6,6 +6,14 @@ class with its three named conditions, the double-B trichotomy, the
 single-row criterion for circulant tensors, P-tensor sufficiency, and a
 deterministic sampling falsifier for the P property.
 
+The falsifier's candidates depend only on (dim, budget, seed) and the block
+length.  A candidate set of at most ``P_BLOCK_ENTRIES`` entries (512 KB) is
+drawn once and replayed to every later call with the same key, so the
+members of one family share one draw; the last 16 such sets are kept
+(8 MB at most), and larger sets are drawn anew on every call.  Candidates,
+block boundaries, the exact recheck and the early stop are the same either
+way, and so is every result.
+
 Verdicts are three-valued.  A failing verdict carries a witness holding the
 1-based row, the offending trailing multi-index or row pair, and the two
 sides of the violated inequality, all recomputable from the input.  Strict
@@ -15,8 +23,11 @@ tolerance ``tol`` relaxes every comparison toward acceptance by that amount.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -311,7 +322,8 @@ def p_sufficient(A: Tensor, tol: float = 0.0) -> Verdict:
 
 
 # Rows per candidate block of falsify_p, as entries of the block's Kronecker
-# power (rows * n**(m-1)); bounds its memory whatever the budget.
+# power (rows * n**(m-1)); bounds its memory whatever the budget.  A whole
+# candidate set of at most this many entries (512 KB) is also kept for reuse.
 P_BLOCK_ENTRIES = 1 << 16
 
 
@@ -335,6 +347,49 @@ def _p_blocks(n: int, budget: int, seed: int, rows: int) -> Iterator[np.ndarray]
         yield draws / norms
 
 
+class _Replay:
+    """``_p_blocks(*key)`` drawn once and replayed: ``blocks`` holds the
+    blocks drawn so far, read-only, and the generator continues the stream.
+    Each block is drawn by the first iteration to reach it, so an early
+    stop leaves the later blocks undrawn."""
+
+    def __init__(self, key: tuple[int, int, int, int]):
+        self.key = key
+        self.blocks: list[np.ndarray] = []
+        self._source = _p_blocks(*key)
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        k = 0
+        while True:
+            if k == len(self.blocks):
+                with self._lock:
+                    if k == len(self.blocks) and not self._draw():
+                        return
+            yield self.blocks[k]
+            k += 1
+
+    def _draw(self) -> bool:
+        try:
+            X = next(self._source, None)
+        except BaseException:
+            # A draw cut short (an interrupt, no memory) ends the generator:
+            # restart it past the blocks already kept.
+            self._source = itertools.islice(
+                _p_blocks(*self.key), len(self.blocks), None)
+            raise
+        if X is None:
+            return False
+        X.flags.writeable = False
+        self.blocks.append(X)
+        return True
+
+
+@lru_cache(maxsize=16)
+def _p_stream(n: int, budget: int, seed: int, rows: int) -> _Replay:
+    return _Replay((n, budget, seed, rows))
+
+
 def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
     """Search for a vector refuting the P property of A.
 
@@ -342,16 +397,19 @@ def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
     are scanned in a fixed order, block by block, and the first falsifier
     (by index, under the exact entrywise evaluation) is reported; the scan
     stops at the first block holding one.  Absence of a falsifier is not a
-    membership certificate.
+    membership certificate.  With an integer seed, a candidate set of at
+    most ``P_BLOCK_ENTRIES`` entries is replayed from ``_p_stream``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     # Batched accumulation order can differ from tensor_apply by a few ulps;
     # anything at or below this margin is re-decided exactly.
     margin = 1e-9 * (1.0 + float(np.max(np.abs(A.entries))) * A.row_len)
-    rows = max(1, P_BLOCK_ENTRIES // A.row_len)
+    n, rows = A.dim, max(1, P_BLOCK_ENTRIES // A.row_len)
+    size = (2 * n + (1 << n if n <= 20 else 0) + budget) * n
+    kept = size <= P_BLOCK_ENTRIES and isinstance(seed, (int, np.integer))
     seen = 0
-    for X in _p_blocks(A.dim, budget, seed, rows):
+    for X in (_p_stream if kept else _p_blocks)(n, budget, seed, rows):
         # Reduced over the transposed views, which is faster; the order of
         # a maximum changes at most the sign of a zero, which the filter
         # below ignores.

@@ -10,7 +10,8 @@ above ``MAX_SHAPE_ENTRIES`` entries per bound, or a ``cross-validate``
 family with more vertices than the oracle's limit.  The JSON
 report goes to stdout (or ``--output``) and is byte-identical across
 identical invocations; a human summary goes to stderr.  Floats are
-printed as decimal doubles with 17 significant digits.
+printed as decimal doubles with 17 significant digits, infinities and NaN
+as ``Infinity``, ``-Infinity`` and ``NaN``, the tokens ``json`` reads.
 
 The ``"conditions"`` of a ``check`` report on an interval file is, by
 default, ``Ledger.summary()``: one group per condition id and row (or row
@@ -25,10 +26,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import stat
 import sys
 from functools import lru_cache
+
+import numpy as np
 
 from . import __version__
 from .classify import (
@@ -101,6 +105,12 @@ def _check_shape(m: int, n: int) -> None:
         )
 
 
+def _number(x: float) -> str:
+    """A float at 17 significant digits; infinities and NaN as ``json``
+    writes and reads them (``Infinity``, ``-Infinity``, ``NaN``)."""
+    return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
+
+
 def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
     """One JSON object per record, written straight from the ledger's
     columns with one template per block."""
@@ -122,10 +132,13 @@ def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
         else:
             cols = [[two_rows[i][j] for i, j in zip(b.rows, b.pair_rows)]]
         lhs, rhs, passed = b.values()
+        num = "%.17g"
+        if not (np.isfinite(b.lhs).all() and np.isfinite(b.rhs).all()):
+            lhs, rhs, num = [_number(x) for x in lhs], [_number(x) for x in rhs], "%s"
         cols += [lhs, rhs, ["true" if ok else "false" for ok in passed]]
         tmpl = (
             f'{p1}{{\n{p2}"id": {json.dumps(b.condition)},\n{p2}"rows": %s,\n'
-            f'{p2}"lhs": %.17g,\n{p2}"rhs": %.17g,\n{p2}"passed": %s'
+            f'{p2}"lhs": {num},\n{p2}"rhs": {num},\n{p2}"passed": %s'
         )
         if b.tails is not None:
             cols.append([tails[f] for f in b.tails])
@@ -154,7 +167,7 @@ def dumps_report(obj, indent: int = 2) -> str:
         elif isinstance(x, int):
             out.append(str(x))
         elif isinstance(x, float):
-            out.append(format(x, ".17g"))
+            out.append(_number(x))
         elif isinstance(x, str):
             out.append(json.dumps(x))
         elif isinstance(x, dict):

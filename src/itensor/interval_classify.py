@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import repeat
+from itertools import combinations, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -777,26 +777,31 @@ def interval_double_b_necessary(
         at = (rows, k.uod.argmax(axis=1))
         tails = k.idx.od[at]
         left, right = np.where(up, k.gap[at], left), np.where(up, k.excl[at], right)
-    ii, jj = k.idx.ii, k.idx.jj
-    up_i, up_j, first = up[ii], up[jj], ii < jj
-
-    def block(cond, keep, i, j=None, strict=True):
-        c = keep.nonzero()[0]
-        i, j = i[c], j if j is None else j[c]
-        lhs, rhs = (left[i], right[i]) if j is None else (
-            left[i] * left[j], right[i] * right[j])
-        return _block(cond, lhs, rhs, tol, strict, rows=i.tolist(),
-                      pair_rows=None if j is None else j.tolist(),
-                      tails=tails[i].tolist() if cond in ("b1", "c1", "c2") else None,
-                      pair_tails=tails[j].tolist() if cond == "c1" else None)
-
+    # Rows grouped by branch once, b1 then b2, each ascending; the row pairs
+    # follow from the groups in lexicographic order: c1 two b1 rows, c2 a b1
+    # row then a b2 row, c3 two b2 rows.
+    upl = up.tolist()
+    b1 = [i for i in range(n) if upl[i]]
+    b2 = [i for i in range(n) if not upl[i]]
+    pairs = [*combinations(b1, 2), *product(b1, b2), *combinations(b2, 2)]
+    rl, il, jl = b1 + b2, [p[0] for p in pairs], [p[1] for p in pairs]
+    nb1, c1 = len(b1), len(b1) * (len(b1) - 1) // 2
+    c2 = c1 + len(b1) * len(b2)
+    r, i, j = (np.array(x, dtype=np.intp) for x in (rl, il, jl))
+    b = _block("b", left[r], right[r], tol, strict=False, rows=rl)
+    c = _block("c", left[i] * left[j], right[i] * right[j], tol, rows=il)
+    bl, br, bp, rt = (x.tolist() for x in (b.lhs, b.rhs, b.passed, tails[r]))
+    cl, cr, cp, it, jt = (
+        x.tolist() for x in (c.lhs, c.rhs, c.passed, tails[i], tails[j]))
     ledger = _ledger(AI, (
         _block("a", k.ldiag, k.upos, tol, **k.lay.row),
-        block("b1", up, rows, strict=False),
-        block("b2", ~up, rows, strict=False),
-        block("c1", up_i & up_j & first, ii, jj),
-        block("c2", up_i & ~up_j, ii, jj),
-        block("c3", ~(up_i | up_j) & first, ii, jj),
+        LedgerBlock("b1", rl[:nb1], bl[:nb1], br[:nb1], bp[:nb1], tails=rt[:nb1]),
+        LedgerBlock("b2", rl[nb1:], bl[nb1:], br[nb1:], bp[nb1:]),
+        LedgerBlock("c1", il[:c1], cl[:c1], cr[:c1], cp[:c1], jl[:c1], it[:c1],
+                    jt[:c1]),
+        LedgerBlock("c2", il[c1:c2], cl[c1:c2], cr[c1:c2], cp[c1:c2], jl[c1:c2],
+                    it[c1:c2]),
+        LedgerBlock("c3", il[c2:], cl[c2:], cr[c2:], cp[c2:], jl[c2:]),
     ))
     return NecessaryReport("rowmax", ledger.first_failure() is None, ledger)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -267,6 +268,30 @@ class TestOverflowingFamilies:
         assert [str(w.message) for w in caught] == []
         assert code in (0, 1, 2)
         assert re.fullmatch(r"(HOLDS|FAILS|INCONCLUSIVE|kind \w+)(: [^\n]*)?\n", err)
+
+    @pytest.mark.parametrize("ledger", ["summary", "full"])
+    def test_infinite_sides_are_json(self, ledger, tmp_path, capsys):
+        # The c products overflow to inf: the report, its ledger and its
+        # witness write them as json writes them, so json reads them back.
+        path = _huge_circulant_file(tmp_path)
+        argv = ["check", "--class", "interval-double-b", path]
+        assert main(argv + (["--ledger", "full"] if ledger == "full" else [])) == 1
+        out = capsys.readouterr().out
+        assert "Infinity" in out and "inf" not in out.replace("Infinity", "")
+        report = json.loads(out)["report"]
+        assert report["witness"]["condition"] == "c1"
+        assert report["witness"]["lhs"] == report["witness"]["rhs"] == math.inf
+        if ledger == "full":
+            assert math.inf in [c["lhs"] for c in report["conditions"]]
+        else:
+            assert math.inf in [g["tightest"]["lhs"] for g in report["conditions"]]
+
+    def test_non_finite_floats_round_trip(self):
+        values = [math.inf, -math.inf, math.nan, 1e308, -0.5]
+        text = dumps_report({"x": values})
+        assert "Infinity,\n" in text and "-Infinity" in text and "NaN" in text
+        got = json.loads(text)["x"]
+        assert got[:2] + got[3:] == values[:2] + values[3:] and math.isnan(got[2])
 
     def test_p_sufficient_midpoint_beyond_the_double_range(self, tmp_path, capsys):
         # (lower + upper) / 2 overflows; symmetry of both bounds decides.

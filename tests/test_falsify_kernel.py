@@ -5,8 +5,12 @@ it was before it streamed its candidates: every candidate built at once
 (sign vectors from a Python loop), one ``np.einsum`` contraction over all
 of them, then the exact recheck in index order.  The streamed falsifier
 must return the same ``FalsifyResult``: the same verdict, the same
-counterexample bit for bit and the same ``samples_used``.
+counterexample bit for bit and the same ``samples_used``, also when its
+candidates are replayed from a kept stream (``classify._p_stream``).
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -206,3 +210,107 @@ def test_apply_many_within_falsifier_margin(m):
         exact = np.array([tensor_apply(T, x) for x in X])
         assert np.max(np.abs(batched - exact)) < margin / 1000
         assert np.max(np.abs(reference_apply_many(T, X) - exact)) < margin / 1000
+
+
+# ------------------------------------------------ replayed candidate streams
+
+
+@pytest.fixture
+def fresh_streams():
+    classify._p_stream.cache_clear()
+    yield classify._p_stream
+    classify._p_stream.cache_clear()
+
+
+def _rows(T):
+    return max(1, classify.P_BLOCK_ENTRIES // T.row_len)
+
+
+@pytest.mark.parametrize("m, n, settings", P_SHAPES)
+def test_replayed_calls_match_the_first_and_the_reference(m, n, settings, fresh_streams):
+    members = _p_members(m, n, settings, 60, 3)
+    first = [_bits(falsify_p(T, budget=10_000, seed=4)) for T in members]
+    assert fresh_streams.cache_info().currsize == 1
+    again = [_bits(falsify_p(T, budget=10_000, seed=4)) for T in members]
+    assert fresh_streams.cache_info().hits == len(members) * 2 - 1
+    assert again == first
+    assert first == [_bits(reference_falsify_p(T, 10_000, 4)) for T in members]
+
+
+def test_interleaved_keys_do_not_disturb_each_other(fresh_streams):
+    calls = [(T, budget, seed)
+             for m, n, settings in P_SHAPES
+             for T in _p_members(m, n, settings, 70, 1)
+             for budget in (7, 10_000) for seed in (0, 1)]
+    refs = [_bits(reference_falsify_p(*c)) for c in calls]
+    for order in (calls, calls[::-1], calls[::2] + calls[1::2]):
+        got = {id(c): _bits(falsify_p(c[0], budget=c[1], seed=c[2])) for c in order}
+        assert [got[id(c)] for c in calls] == refs
+    assert fresh_streams.cache_info().currsize == len({
+        (T.dim, budget, seed, _rows(T)) for T, budget, seed in calls})
+
+
+def test_cached_blocks_are_read_only(fresh_streams):
+    T = diagonal_tensor(4, 2, 6.0)
+    assert not falsify_p(T, budget=10_000, seed=2).falsified
+    stream = fresh_streams(2, 10_000, 2, _rows(T))
+    assert len(stream.blocks) == 4  # basis, signs, two sample blocks
+    for X in stream.blocks:
+        with pytest.raises(ValueError):
+            X[0, 0] = 0.0
+
+
+def test_a_budget_over_the_cap_is_not_kept(fresh_streams):
+    T = diagonal_tensor(4, 2, 6.0)
+    over = classify.P_BLOCK_ENTRIES // 2 - 2 * 2 - 4 + 1  # one sample too many
+    assert_same(T, over, seed=3)
+    assert fresh_streams.cache_info().currsize == 0
+    assert_same(T, over - 1, seed=3)
+    assert fresh_streams.cache_info().currsize == 1
+
+
+def test_odd_order_draws_only_the_basis_block(fresh_streams):
+    T = make_tensor(3, 2, [4.0, 0.5, 0.5, 0.25, 0.5, 0.25, 0.25, 5.0])
+    assert falsify_p(T, budget=10_000, seed=3).samples_used == 3
+    assert len(fresh_streams(2, 10_000, 3, _rows(T)).blocks) == 1
+
+
+def test_a_draw_cut_short_restarts_the_stream(monkeypatch, fresh_streams):
+    real, starts = classify._p_blocks, []
+
+    def flaky(*key):
+        starts.append(key)
+        for k, X in enumerate(real(*key)):
+            if len(starts) == 1 and k == 2:
+                raise MemoryError
+            yield X
+
+    monkeypatch.setattr(classify, "_p_blocks", flaky)
+    T = diagonal_tensor(4, 2, 6.0)
+    with pytest.raises(MemoryError):
+        falsify_p(T, budget=10_000, seed=8)
+    assert _bits(falsify_p(T, budget=10_000, seed=8)) == _bits(
+        reference_falsify_p(T, 10_000, 8))
+    assert len(starts) == 2
+
+
+def test_threads_share_one_stream(fresh_streams):
+    members = _p_members(4, 2, P_SHAPES[0][2], 80, 6)
+    refs = [_bits(reference_falsify_p(T, 10_000, 6)) for T in members]
+    results = [None] * 4
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(k):
+            results[k] = [_bits(falsify_p(T, budget=10_000, seed=6)) for T in members]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [refs] * 4
+    assert fresh_streams.cache_info().currsize == 1
