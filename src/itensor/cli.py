@@ -4,7 +4,8 @@ Verbs: ``check`` (run one class criterion on a tensor or interval file),
 ``classify`` (the double-B dichotomy), ``generate`` (write a random
 instance), and ``cross-validate`` (run the oracle suite).  Exit codes:
 0 the property holds, 1 it fails, 2 the criterion is inconclusive,
-3 usage or parse error, an input too large for memory, a tensor order
+3 usage or parse error, an input file above ``MAX_INPUT_BYTES`` or
+nested too deeply to parse, an input too large for memory, a tensor order
 above ``tensor.MAX_ORDER``, a ``generate`` or ``cross-validate`` shape
 above ``MAX_SHAPE_ENTRIES`` entries per bound, or a ``cross-validate``
 family with more vertices than the oracle's limit.  The JSON
@@ -16,9 +17,11 @@ as ``Infinity``, ``-Infinity`` and ``NaN``, the tokens ``json`` reads.
 The ``"conditions"`` of a ``check`` report on an interval file is, by
 default, ``Ledger.summary()``: one group per condition id and row (or row
 pair) with ``id``, ``rows``, ``evaluated``, ``failed``, ``tightest`` and
-``first_failure``.  ``--ledger full`` writes every evaluated record
-instead, from the ledger's columns.  Status, witness and exit code are the
-same either way; a text report builds no summary.
+``first_failure``.  The report holds it as a ``LedgerSummary``, whose group
+tuples the writer prints with one ``%`` template per group shape, building
+no dict.  ``--ledger full`` writes every evaluated record instead, from the
+ledger's columns with one template per block.  Status, witness and exit
+code are the same either way; a text report builds no summary.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import os
 import stat
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,6 +63,7 @@ from .interval_classify import (
     INTERVAL_B_METHODS,
     Ledger,
     LedgerDicts,
+    LedgerSummary,
     check_interval_b,
     check_interval_circulant,
     check_interval_double_b,
@@ -85,6 +91,11 @@ EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 # size at once.
 MAX_SHAPE_ENTRIES = 1 << 20
 
+# Largest input file ``check`` and ``classify`` read: two bounds of
+# MAX_SHAPE_ENTRIES entries at 32 bytes each (64 MiB), room for every file
+# ``generate`` writes.
+MAX_INPUT_BYTES = 2 * MAX_SHAPE_ENTRIES * 32
+
 
 class UsageError(Exception):
     pass
@@ -111,20 +122,46 @@ def _number(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
 
 
+def _scalar(x) -> str:
+    """A JSON scalar as ``dumps_report`` writes it."""
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return _number(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _list_text(items, pad: str, close: str) -> str:
+    return "[\n" + ",\n".join(f"{pad}{x}" for x in items) + f"\n{close}]"
+
+
+@lru_cache(maxsize=64)
+def _index_texts(order: int, dim: int, depth: int, indent: int) -> tuple:
+    """The JSON lists of rows, row pairs and tails at ``depth``, as
+    ``dumps_report`` writes them: one row (by 0-based row), two rows (by
+    both) and a 1-based tail (by flat offset)."""
+    pad, close = " " * (indent * (depth + 1)), " " * (indent * depth)
+    rows = range(1, dim + 1)
+    shape = SimpleNamespace(order=order, dim=dim)
+    return (
+        tuple(_list_text((i,), pad, close) for i in rows),
+        tuple(tuple(_list_text((i, j), pad, close) for j in rows) for i in rows),
+        tuple(_list_text(tail1(shape, f), pad, close)
+              for f in range(dim ** (order - 1))),
+    )
+
+
 def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
     """One JSON object per record, written straight from the ledger's
     columns with one template per block."""
-    p1, p2, p3 = (" " * (indent * d) for d in (depth, depth + 1, depth + 2))
-    r = ledger.dim ** (ledger.order - 1)
-    tails = [
-        "[\n" + ",\n".join(f"{p3}{c}" for c in tail1(ledger, f)) + f"\n{p2}]"
-        for f in range(r)
-    ]
-    one_row = [f"[\n{p3}{i + 1}\n{p2}]" for i in range(ledger.dim)]
-    two_rows = [
-        [f"[\n{p3}{i + 1},\n{p3}{j + 1}\n{p2}]" for j in range(ledger.dim)]
-        for i in range(ledger.dim)
-    ]
+    p1, p2 = (" " * (indent * d) for d in (depth, depth + 1))
+    one_row, two_rows, tails = _index_texts(ledger.order, ledger.dim, depth + 1, indent)
     lines = []
     for b in ledger.blocks:
         if b.pair_rows is None:
@@ -136,8 +173,9 @@ def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
         if not (np.isfinite(b.lhs).all() and np.isfinite(b.rhs).all()):
             lhs, rhs, num = [_number(x) for x in lhs], [_number(x) for x in rhs], "%s"
         cols += [lhs, rhs, ["true" if ok else "false" for ok in passed]]
+        cond = encode_basestring_ascii(b.condition).replace("%", "%%")
         tmpl = (
-            f'{p1}{{\n{p2}"id": {json.dumps(b.condition)},\n{p2}"rows": %s,\n'
+            f'{p1}{{\n{p2}"id": {cond},\n{p2}"rows": %s,\n'
             f'{p2}"lhs": {num},\n{p2}"rhs": {num},\n{p2}"passed": %s'
         )
         if b.tails is not None:
@@ -151,37 +189,85 @@ def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
     return lines
 
 
+def _summary_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
+    """One JSON object per summary group, written straight from the group
+    tuples with one template per group shape: the id, and whether the
+    tightest record and the first failure (or its ``null``) carry a tail
+    and a pair tail."""
+    p1, p2, p3 = (" " * (indent * d) for d in (depth, depth + 1, depth + 2))
+    one_row, two_rows, _ = _index_texts(view.order, view.dim, depth + 1, indent)
+    tails = _index_texts(view.order, view.dim, depth + 2, indent)[2]
+    values = [x for g in view.groups for s in g[5:] if s is not None for x in s[:2]]
+    # A sum of finite doubles is finite unless it overflows, which only
+    # sends the values down the slower, equally exact branch.
+    num = "%.17g"
+    if not (set(map(type, values)) <= {float} and math.isfinite(sum(values))):
+        num, values = "%s", [_scalar(x) for x in values]
+    values = iter(values)
+
+    def template(shape: tuple) -> str:
+        cond, *sides = shape
+        cond = encode_basestring_ascii(cond).replace("%", "%%")
+        text = [f'{p1}{{\n{p2}"id": {cond},\n'
+                f'{p2}"rows": %s,\n{p2}"evaluated": %d,\n{p2}"failed": %d']
+        for key, side in zip(("tightest", "first_failure"), sides):
+            text.append(f',\n{p2}"{key}": ')
+            if side is None:
+                text.append("null")
+                continue
+            text.append(f'{{\n{p3}"lhs": {num},\n{p3}"rhs": {num}')
+            text += [f',\n{p3}"{k}": %s'
+                     for k, on in zip(("tail", "pair_tail"), side) if on]
+            text.append(f"\n{p2}}}")
+        text.append(f"\n{p1}}}")
+        return "".join(text)
+
+    templates: dict[tuple, str] = {}
+    lines = []
+    for cond, row, pair, evaluated, failed, tight, first in view.groups:
+        fields = [one_row[row] if pair < 0 else two_rows[row][pair], evaluated, failed]
+        shape = [cond]
+        for side in (tight, first):
+            if side is None:
+                shape.append(None)
+                continue
+            _, _, tail, pair_tail = side
+            shape.append((tail is not None, pair_tail is not None))
+            fields += (next(values), next(values))
+            if tail is not None:
+                fields.append(tails[tail])
+            if pair_tail is not None:
+                fields.append(tails[pair_tail])
+        shape = tuple(shape)
+        tmpl = templates.get(shape)
+        if tmpl is None:
+            tmpl = templates[shape] = template(shape)
+        lines.append(tmpl % tuple(fields))
+    return lines
+
+
 def dumps_report(obj, indent: int = 2) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
     Pieces are appended to one list and joined once; a condition ledger
-    (``LedgerDicts``) is written from its columns without building dicts.
+    (``LedgerDicts``) or its summary (``LedgerSummary``) is written from its
+    columns without building dicts.
     """
     out: list[str] = []
 
     def emit(x, depth: int) -> None:
-        if x is None:
-            out.append("null")
-        elif isinstance(x, bool):
-            out.append("true" if x else "false")
-        elif isinstance(x, int):
-            out.append(str(x))
-        elif isinstance(x, float):
-            out.append(_number(x))
-        elif isinstance(x, str):
-            out.append(json.dumps(x))
-        elif isinstance(x, dict):
+        if isinstance(x, dict):
             if not x:
                 out.append("{}")
                 return
             pad_in = " " * (indent * (depth + 1))
             sep = "{\n"
             for k, v in x.items():
-                out.append(f"{sep}{pad_in}{json.dumps(str(k))}: ")
+                out.append(f"{sep}{pad_in}{encode_basestring_ascii(str(k))}: ")
                 emit(v, depth + 1)
                 sep = ",\n"
             out.append("\n" + " " * (indent * depth) + "}")
-        elif isinstance(x, (list, tuple, LedgerDicts)):
+        elif isinstance(x, (list, tuple, LedgerDicts, LedgerSummary)):
             if not x:
                 out.append("[]")
                 return
@@ -189,30 +275,49 @@ def dumps_report(obj, indent: int = 2) -> str:
             out.append("[\n")
             if isinstance(x, LedgerDicts):
                 out.append(",\n".join(_ledger_lines(x.ledger, depth + 1, indent)))
+            elif isinstance(x, LedgerSummary):
+                out.append(",\n".join(_summary_lines(x, depth + 1, indent)))
             else:
                 for k, v in enumerate(x):
                     out.append(",\n" + pad_in if k else pad_in)
                     emit(v, depth + 1)
             out.append("\n" + " " * (indent * depth) + "]")
         else:
-            raise TypeError(f"cannot serialize {type(x).__name__}")
+            out.append(_scalar(x))
 
     emit(obj, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _load_input(path: str):
-    """Parse the input file and return ('tensor', T) or ('interval', AI)."""
+def _read_input(path: str) -> bytes:
+    """The bytes of the input file, refused past ``MAX_INPUT_BYTES``: a
+    regular file by its size before anything is read, anything else (a
+    pipe, a device) by reading at most one byte past the cap."""
+    too_big = UsageError(f"{path}: input larger than {MAX_INPUT_BYTES} bytes")
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            st = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(st.st_mode)
+            if regular and st.st_size > MAX_INPUT_BYTES:
+                raise too_big
+            raw = fh.read() if regular else fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    if len(raw) > MAX_INPUT_BYTES:
+        raise too_big
+    return raw
+
+
+def _load_input(path: str):
+    """Parse the input file and return ('tensor', T) or ('interval', AI)."""
+    raw = _read_input(path)
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise UsageError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: top level must be a JSON object")
     digest = hashlib.sha256(raw).hexdigest()
@@ -329,7 +434,7 @@ def _run_interval(args, AI):
         raise UsageError(f"class {cls} does not apply to an interval file")
     report = interval_verdict_report(v, cls)
     if (args.format, args.ledger) == ("json", "summary") and "conditions" in report:
-        report["conditions"] = v.conditions.summary()
+        report["conditions"] = v.conditions.summary_view()
     summary = v.status.value.upper()
     if v.witness is not None:
         summary += ": " + _human_witness(v.witness, v.method)

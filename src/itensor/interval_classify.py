@@ -21,7 +21,10 @@ restatements over its arrays.  ``verdict_report`` (also bound here as
 ``interval_verdict_report``) writes it as ``Ledger.dicts()``, a lazy
 sequence of dicts, not a list; ``Ledger.summary()`` condenses it to one
 group per condition id and row (or row pair), the form the CLI writes by
-default.  Rows and trailing indices in records and witnesses are 1-based.
+default (as ``Ledger.summary_view()``, the same groups as tuples).  The
+summary reduces each block by its runs of one row (or row pair), which the
+criteria write contiguously, so it never sorts or gathers the whole
+ledger.  Rows and trailing indices in records and witnesses are 1-based.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
     "LedgerBlock",
     "Ledger",
     "LedgerDicts",
+    "LedgerSummary",
     "IntervalDichotomy",
     "NecessaryReport",
     "INTERVAL_B_METHODS",
@@ -131,17 +135,9 @@ def _value(col, k: int):
     return v.item() if isinstance(v, np.generic) else v
 
 
-def _first_at_or_after(hits: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Per segment [start, end): the first index of ``hits`` (ascending)
-    inside it, or -1."""
-    pos = np.searchsorted(hits, starts)
-    found = np.append(hits, ends[-1])[pos]
-    return np.where(found < ends, found, -1)
-
-
 # Ledgers up to this many records are summarized record by record in
-# Python, longer ones in one numpy pass, whose fixed cost of some 25 array
-# calls exceeds a short ledger's whole loop.
+# Python, longer ones run by run in numpy, whose fixed cost of some 15
+# array calls per block exceeds a short ledger's whole loop.
 SMALL_LEDGER = 256
 
 # The columns that decide record equality, with their dtypes.
@@ -184,9 +180,10 @@ class Ledger(Sequence):
         for b in self.blocks:
             size = len(b.lhs)
             if b.pair_rows is None:
-                rows = [(i + 1,) for i in b.rows]
+                rows = [(i + 1,) for i in _ints(b.rows)]
             else:
-                rows = [(i + 1, j + 1) for i, j in zip(b.rows, b.pair_rows)]
+                pairs = zip(_ints(b.rows), _ints(b.pair_rows))
+                rows = [(i + 1, j + 1) for i, j in pairs]
             tail = (
                 repeat(None, size)
                 if b.tails is None
@@ -243,9 +240,9 @@ class Ledger(Sequence):
         return hash(tuple(self))
 
     def _record(self, b: LedgerBlock, k: int) -> ConditionRecord:
-        rows = (b.rows[k] + 1,)
+        rows = (_value(b.rows, k) + 1,)
         if b.pair_rows is not None:
-            rows += (b.pair_rows[k] + 1,)
+            rows += (_value(b.pair_rows, k) + 1,)
         return ConditionRecord(
             b.condition,
             rows,
@@ -282,100 +279,178 @@ class Ledger(Sequence):
         ``first_failure`` (the same fields of its first failing record, or
         None).  Groups come from the columns; no record is built.
         """
-        if len(self) <= SMALL_LEDGER:
-            groups = self._groups_by_record()
-        else:
-            groups = self._groups_by_sort()
-        return [
-            {
-                "id": cond,
-                "rows": [row + 1] if pair < 0 else [row + 1, pair + 1],
-                "evaluated": evaluated,
-                "failed": failed,
-                "tightest": self._sides(tk),
-                "first_failure": None if fk < 0 else self._sides(fk),
-            }
-            for cond, row, pair, evaluated, failed, tk, fk in groups
-        ]
+        return list(self.summary_view())
 
-    def _groups_by_record(self) -> list[tuple]:
-        """The summary groups in first-occurrence order, record by record:
-        (id, row, pair row or -1, evaluated, failed, index of the tightest
-        record, index of the first failing record or -1)."""
-        # (id, row, pair) -> [evaluated, failed, tightest index, its lhs - rhs
-        # (None while every difference is NaN), first failing index]
-        groups: dict[tuple, list] = {}
-        k = 0
-        for b in self.blocks:
-            pairs = repeat(-1) if b.pair_rows is None else b.pair_rows
-            for row, pair, lhs, rhs, ok in zip(b.rows, pairs, *b.values()):
-                d = lhs - rhs
-                g = groups.get((b.condition, row, pair))
-                if g is None:
-                    g = groups[b.condition, row, pair] = [0, 0, k, None, -1]
-                if d == d and (g[3] is None or d < g[3]):
-                    g[2:4] = k, d
-                g[0] += 1
-                if not ok:
-                    g[1] += 1
-                    if g[4] < 0:
-                        g[4] = k
-                k += 1
-        return [
-            (*key, evaluated, failed, tk, fk)
-            for key, (evaluated, failed, tk, _, fk) in groups.items()
-        ]
+    def summary_view(self) -> LedgerSummary:
+        """``summary()`` as a lazy sequence: each group's dict is built on
+        access, and the CLI's report writer reads the group tuples."""
+        return LedgerSummary(self)
 
     @_ieee
-    def _groups_by_sort(self) -> list[tuple]:
-        """The groups of ``_groups_by_record``, in one numpy pass."""
-        runs = self._ids()
-        ids = list(dict.fromkeys(cond for cond, _ in runs))
-        codes = np.repeat([ids.index(c) for c, _ in runs], [n for _, n in runs])
-        # One integer key per (id, row, pair row); a stable sort keeps each
-        # group's records in ledger order, so the first hit is the earliest.
-        width = self.dim + 1
-        key = codes * width + self._column("rows") + 1
-        key = key * width + self._column("pair_rows") + 1
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(key))
-        diff = (self._column("lhs", float) - self._column("rhs", float))[order]
-        least = np.minimum.reduceat(np.where(np.isnan(diff), np.inf, diff), starts)
-        # NaN equals nothing, so a NaN difference is never the least; a group
-        # of NaN differences only reports its first record.
-        tight = _first_at_or_after(
-            np.flatnonzero(diff == np.repeat(least, ends - starts)), starts, ends
-        )
-        tight = np.where(tight < 0, starts, tight)
-        fails = ~self._column("passed", bool)[order]
-        first = _first_at_or_after(np.flatnonzero(fails), starts, ends)
-        groups = sorted(zip(
-            order[starts].tolist(),
-            key[starts].tolist(),
-            (ends - starts).tolist(),
-            np.add.reduceat(fails, starts).tolist(),
-            order[tight].tolist(),
-            np.where(first < 0, -1, order[first]).tolist(),
-        ))
+    def _groups(self) -> list[tuple]:
+        """The summary groups in first-occurrence order, as in
+        ``LedgerSummary.groups``.
+
+        Each block is reduced by its runs of consecutive records with one
+        (row, pair row).  Runs of one length are reduced in numpy as a
+        (runs, length) view (``_runs``); a ledger of at most
+        ``SMALL_LEDGER`` records, a block of one record per run and a block
+        of runs of mixed lengths go record by record.  A key that comes back
+        in a later run or block adds to its first group: a later tightest
+        record wins only with a smaller difference (or when every earlier
+        one was NaN), and the earliest failure stays.
+        """
+        small = len(self) <= SMALL_LEDGER
+        # (id, row, pair) -> [evaluated, failed, tightest, its lhs - rhs
+        # (NaN while every difference is NaN), first failure]
+        groups: dict[tuple, list] = {}
+        for b in self.blocks:
+            run = 1 if small else _run_length(b)
+            for row, pair, count, failed, d, tight, first in (
+                _runs(b, run) if run > 1 else _record_runs(b)
+            ):
+                g = groups.get((b.condition, row, pair))
+                if g is None:
+                    groups[b.condition, row, pair] = [count, failed, tight, d, first]
+                    continue
+                g[0] += count
+                g[1] += failed
+                if d == d and (g[3] != g[3] or d < g[3]):
+                    g[2:4] = tight, d
+                if g[4] is None:
+                    g[4] = first
         return [
-            (ids[k // width // width], k // width % width - 1, k % width - 1, *rest)
-            for _, k, *rest in groups
+            (*key, evaluated, failed, tight, first)
+            for key, (evaluated, failed, tight, _, first) in groups.items()
         ]
 
-    def _sides(self, k: int) -> dict:
-        """Both sides of record ``k`` and its tail(s)."""
-        b = bisect_right(self._ends, k)
-        k -= self._ends[b - 1] if b else 0
-        b = self.blocks[b]
-        out = {"lhs": _value(b.lhs, k), "rhs": _value(b.rhs, k)}
-        if b.tails is not None:
-            out["tail"] = list(tail1(self, b.tails[k]))
-        if b.pair_tails is not None:
-            out["pair_tail"] = list(tail1(self, b.pair_tails[k]))
+
+def _ints(col) -> Sequence[int]:
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _records_at(b: LedgerBlock, idx: list) -> list[tuple]:
+    """Records ``idx`` of block ``b`` as (lhs, rhs, flat tail or None, flat
+    pair tail or None), values as Python scalars (``_value``)."""
+    return list(zip(*(
+        repeat(None) if c is None
+        else c[idx].tolist() if isinstance(c, np.ndarray)
+        else [_value(c, k) for k in idx]
+        for c in (b.lhs, b.rhs, b.tails, b.pair_tails)
+    )))
+
+
+def _run_length(b: LedgerBlock) -> int:
+    """The common length of the runs of one (row, pair row) in block ``b``,
+    0 when they differ.  A layout's index columns carry it
+    (``_IndexColumn.run``); other blocks are cut where a row changes."""
+    run = getattr(b.rows, "run", 0)
+    if run and getattr(b.pair_rows, "run", run) == run:
+        return run
+    size = len(b.lhs)
+    if size < 2:
+        return size
+    change = np.zeros(size - 1, dtype=bool)
+    for col in (b.rows, b.pair_rows):
+        if col is not None:
+            key = np.asarray(col)
+            change |= key[1:] != key[:-1]
+    cuts = np.flatnonzero(change) + 1
+    if not len(cuts):
+        return size
+    run = int(cuts[0])
+    uniform = size % run == 0 and np.array_equal(cuts, np.arange(run, size, run))
+    return run if uniform else 0
+
+
+def _record_runs(b: LedgerBlock):
+    """The runs of ``_runs``, one per record."""
+    lhs, rhs, passed = b.values()
+    pairs = repeat(-1) if b.pair_rows is None else _ints(b.pair_rows)
+    tails, pair_tails = (
+        repeat(None) if c is None else _ints(c) for c in (b.tails, b.pair_tails))
+    for row, pair, x, y, ok, t, pt in zip(
+        _ints(b.rows), pairs, lhs, rhs, passed, tails, pair_tails
+    ):
+        side = (x, y, t, pt)
+        yield row, pair, 1, 0 if ok else 1, x - y, side, None if ok else side
+
+
+def _runs(b: LedgerBlock, run: int) -> list[tuple]:
+    """Block ``b`` as its runs of ``run`` records with one (row, pair row):
+    per run its row, pair row (-1 when none), records, failed records, the
+    least lhs - rhs (NaN when every difference is NaN), the tightest record
+    (the first at that least, else the run's first) and the first failing
+    record (None when none), each record as in ``_records_at``."""
+    size = len(b.lhs)
+    rows = _ints(b.rows[::run])
+    pairs = repeat(-1) if b.pair_rows is None else _ints(b.pair_rows[::run])
+    diff = np.subtract(b.lhs, b.rhs, dtype=float).reshape(-1, run)
+    # fmin skips NaN: a run's least is NaN only when all of it is, and NaN
+    # equals nothing, so such a run reports its first record.
+    least = np.fmin.reduce(diff, axis=1)
+    tight = (diff == least[:, None]).argmax(axis=1).tolist()
+    idx = [k + r for k, r in zip(tight, range(0, size, run))]
+    passed = np.asarray(b.passed, dtype=bool).reshape(-1, run)
+    failed = repeat(0)
+    if not passed.all():
+        failed = (run - passed.sum(axis=1)).tolist()
+        idx += [k + r for k, r, f in zip(
+            passed.argmin(axis=1).tolist(), range(0, size, run), failed) if f]
+    sides = _records_at(b, idx)
+    first = iter(sides[len(rows):])
+    return [
+        (row, pair, run, f, d, side, next(first) if f else None)
+        for row, pair, f, d, side in zip(rows, pairs, failed, least.tolist(), sides)
+    ]
+
+
+class LedgerSummary(Sequence):
+    """Default report form of a ledger (``Ledger.summary``): one group per
+    (condition id, row or row pair), each as a dict built on access.
+
+    ``groups`` holds one tuple per group: (id, 0-based row, pair row or -1,
+    evaluated, failed, tightest, first failure), each record as (lhs, rhs,
+    flat tail or None, flat pair tail or None) and the first failure None
+    when no record failed.  The CLI's report writer writes these tuples
+    without building dicts, to the same bytes.
+    """
+
+    __slots__ = ("order", "dim", "groups")
+
+    def __init__(self, ledger: Ledger):
+        self.order, self.dim = ledger.order, ledger.dim
+        self.groups = ledger._groups()
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._dict(g) for g in self.groups[k]]
+        return self._dict(self.groups[k])
+
+    def __iter__(self):
+        return map(self._dict, self.groups)
+
+    def _dict(self, group: tuple) -> dict:
+        cond, row, pair, evaluated, failed, tight, first = group
+        return {
+            "id": cond,
+            "rows": [row + 1] if pair < 0 else [row + 1, pair + 1],
+            "evaluated": evaluated,
+            "failed": failed,
+            "tightest": self._side_dict(tight),
+            "first_failure": None if first is None else self._side_dict(first),
+        }
+
+    def _side_dict(self, side: tuple) -> dict:
+        lhs, rhs, tail, pair_tail = side
+        out = {"lhs": lhs, "rhs": rhs}
+        if tail is not None:
+            out["tail"] = list(tail1(self, tail))
+        if pair_tail is not None:
+            out["pair_tail"] = list(tail1(self, pair_tail))
         return out
 
 
@@ -443,15 +518,20 @@ class NecessaryReport:
 class _IndexColumn(tuple):
     """A cached layout index column: a tuple of ints for records and the
     full report writer, whose integer array ``Ledger._column`` builds once,
-    on first use."""
+    on first use.  A row column comes in runs of ``run`` equal values (its
+    pair row column too), which ``_runs`` reads; 0 means unknown."""
+
+    run = 0
 
     @cached_property
     def array(self) -> np.ndarray:
         return np.array(self, dtype=np.intp)
 
 
-def _col(a) -> _IndexColumn:
-    return _IndexColumn(np.asarray(a).ravel().tolist())
+def _col(a, run: int = 0) -> _IndexColumn:
+    col = _IndexColumn(np.asarray(a).ravel().tolist())
+    col.run = run
+    return col
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -476,8 +556,8 @@ def _layout(order: int, dim: int) -> _Layout:
     n, q = od.shape
     rows = np.arange(n)
     return _Layout(
-        {"rows": _col(rows)},
-        {"rows": _col(np.repeat(rows, q)), "tails": _col(od)},
+        {"rows": _col(rows, 1)},
+        {"rows": _col(np.repeat(rows, q), q), "tails": _col(od)},
         _frozen(np.zeros(n)),
         _frozen(~np.eye(q, dtype=bool)),
         _frozen(od[:, :, None] != np.arange(q + 1)),
@@ -493,12 +573,13 @@ def _pair_layout(order: int, dim: int) -> tuple[dict, dict, dict]:
     q = od.shape[1]
     square = (len(iu), q, q)
     return (
-        {"rows": _col(np.repeat(iu, q * q)), "pair_rows": _col(np.repeat(ju, q * q)),
+        {"rows": _col(np.repeat(iu, q * q), q * q),
+         "pair_rows": _col(np.repeat(ju, q * q), q * q),
          "tails": _col(np.broadcast_to(od[iu][:, :, None], square)),
          "pair_tails": _col(np.broadcast_to(od[ju][:, None, :], square))},
-        {"rows": _col(np.repeat(ii, q)), "pair_rows": _col(np.repeat(jj, q)),
+        {"rows": _col(np.repeat(ii, q), q), "pair_rows": _col(np.repeat(jj, q), q),
          "tails": _col(od[ii])},
-        {"rows": _col(iu), "pair_rows": _col(ju)},
+        {"rows": _col(iu, 1), "pair_rows": _col(ju, 1)},
     )
 
 

@@ -453,9 +453,12 @@ def json_order_dim(obj, kind: str, arrays: tuple[str, ...]) -> tuple[int, int]:
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (order, dim)):
         raise ValueError("order and dim must be integers")
     for key in arrays:
-        if not isinstance(obj[key], list):
+        col = obj[key]
+        if not isinstance(col, list):
             raise ValueError(f"{key} must be an array of numbers")
-        for k, v in enumerate(obj[key]):
+        if set(map(type, col)) <= {int, float}:  # what json.loads gives
+            continue
+        for k, v in enumerate(col):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValueError(f"{key}[{k}] is not a number")
     return order, dim

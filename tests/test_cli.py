@@ -5,13 +5,19 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from itensor import check_interval_b, check_interval_double_b, make_interval, make_tensor
 from itensor.cli import INTERVAL_CLASSES, build_parser, dumps_report, main
-from itensor.interval import interval_to_json
-from itensor.interval_classify import Ledger, LedgerDicts, interval_verdict_report
+from itensor.interval import interval_from_json, interval_to_json
+from itensor.interval_classify import (
+    Ledger,
+    LedgerBlock,
+    LedgerDicts,
+    interval_verdict_report,
+)
 from itensor.oracle import boundary_interval
 from itensor.tensor import circulant_from_first_row
 
@@ -44,21 +50,35 @@ class TestDumpsReport:
         obj = {"x": 0.1, "y": [1, 2, {"z": -4.75}]}
         assert dumps_report(obj) == dumps_report(obj)
 
-    def test_ledger_columns_match_dicts(self):
+    def test_ledger_columns_match_dicts(self, tmp_path):
         # The column writer must give the bytes the generic writer gives for
         # the same records as dicts, signed zeros and extreme doubles included.
         lower = make_tensor(3, 2, [1e-310, -0.0, 0.1, -0.0, -0.0, 1e300, 0.0, -0.0])
         upper = make_tensor(3, 2, [2.0, 0.0, 0.3, -0.0, 1.0 / 3.0, 1e301, 0.0, 7.0])
         AI = make_interval(lower, upper)
         texts = []
-        for v in (check_interval_double_b(AI), check_interval_b(AI, "slack")):
+        with open(_huge_circulant_file(tmp_path)) as fh:
+            huge = interval_from_json(json.load(fh))
+        # Integer sides (a hand-built ledger) go to the summary writer only.
+        ints = Ledger([LedgerBlock("b", [0, 0, 1], [10**20, 9, 2], [10**20 - 1, 1, 5],
+                                   [True, True, False], tails=[1, 2, 1])], 3, 2)
+        verdicts = [check_interval_double_b(AI), check_interval_b(AI, "slack"),
+                    check_interval_double_b(huge),
+                    replace(check_interval_b(AI), conditions=ints)]
+        for v in verdicts:
             rep = interval_verdict_report(v, "x")
             assert isinstance(rep["conditions"], LedgerDicts)
-            for indent in (2, 3):
-                as_dicts = dict(rep, conditions=list(rep["conditions"]))
-                texts.append(dumps_report(rep, indent))
-                assert texts[-1] == dumps_report(as_dicts, indent)
+            views = [v.conditions.summary_view()]
+            if v.conditions is not ints:
+                views.append(rep["conditions"])
+            for conditions in views:
+                for indent in (2, 3):
+                    as_dicts = dict(rep, conditions=list(conditions))
+                    texts.append(dumps_report(dict(rep, conditions=conditions), indent))
+                    assert texts[-1] == dumps_report(as_dicts, indent)
         assert any(": -0,\n" in text for text in texts)
+        assert any(": Infinity,\n" in text for text in texts)
+        assert any(": 100000000000000000000,\n" in text for text in texts)
 
 
 class TestCheckVerb:
@@ -99,6 +119,7 @@ class TestCheckVerb:
             raise AssertionError("summary built for a text report")
 
         monkeypatch.setattr(Ledger, "summary", boom)
+        monkeypatch.setattr(Ledger, "summary_view", boom)
         assert main(["check", "--class", "interval-double-b", "--format", "text",
                      accept_file]) == 0
         assert capsys.readouterr().out == "HOLDS\n"
@@ -201,6 +222,57 @@ class TestCheckVerb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: order and dim must be integers\n"
+
+    @pytest.mark.parametrize("argv", [["check", "--class", "interval-b"], ["classify"]])
+    def test_deeply_nested_input(self, tmp_path, capsys, argv):
+        # json raises RecursionError here, not a JSONDecodeError; exit 1
+        # would read as "the property fails".
+        path = tmp_path / "deep.json"
+        path.write_text('{"lower": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(argv + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", [["check", "--class", "interval-b"], ["classify"]])
+    def test_input_size_cap(self, tmp_path, capsys, monkeypatch, argv):
+        # A sparse file one byte over the cap is refused by its size: nothing
+        # is read or parsed.
+        import itensor.cli as cli
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("input parsed")
+
+        monkeypatch.setattr(json, "loads", no_parse)
+        path = tmp_path / "big.json"
+        path.touch()
+        os.truncate(path, cli.MAX_INPUT_BYTES + 1)
+        assert main(argv + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: input larger than {cli.MAX_INPUT_BYTES} bytes\n")
+
+    def test_input_size_cap_on_a_device(self, capsys, monkeypatch):
+        # A device has no size: it is read up to one byte past the cap.
+        import itensor.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 64)
+        assert main(["check", "--class", "interval-b", "/dev/zero"]) == 3
+        assert capsys.readouterr().err == (
+            "error: /dev/zero: input larger than 64 bytes\n")
+
+    def test_generated_files_fit_the_input_cap(self, tmp_path, capsys):
+        # MAX_INPUT_BYTES allows 32 bytes per entry of two bounds of the
+        # largest generated shape; a written entry takes at most 30: a
+        # four-space indent, 24 characters of "%.17g" and ",\n".
+        import itensor.cli as cli
+
+        assert cli.MAX_INPUT_BYTES == 2 * cli.MAX_SHAPE_ENTRIES * 32
+        assert len("    " + format(-2.2250738585072014e-308, ".17g") + ",\n") == 30
+        path = tmp_path / "g.json"
+        assert main(["generate", "--m", "3", "--n", "8", "--output", str(path)]) == 0
+        assert path.stat().st_size <= 2 * 8**3 * 30
 
     def test_byte_identical_reports(self, reject_file, capsys):
         main(["check", "--class", "interval-b", reject_file])

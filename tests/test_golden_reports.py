@@ -1,12 +1,14 @@
 """Pinned CLI reports.
 
-The SHA-256 of stdout for report-producing invocations on eight interval
+The SHA-256 of stdout for report-producing invocations on ten interval
 files.  The full-ledger reports (``--ledger full``) and ``classify`` were
 recorded before the condition ledger became columnar, the default summary
 reports when the summary became the default, and the other interval-B
 methods, the circulant, P-sufficient and Z classes and the three extra
 files (circulant, symmetric of even order, and dim 1) before the interval
-criteria moved from per-position loops to one array row kernel.  The SHA-256 of
+criteria moved from per-position loops to one array row kernel; two more
+default summaries (m=3, n=8 generated, and an overflowing family) before the
+summary was grouped per block and written from its columns.  The SHA-256 of
 ``cross-validate`` stdout is pinned for every structure on two shapes, on
 two shapes whose boundary trials fall back to a general draw, and with
 classifiers made to disagree, so that counterexamples are pinned too.
@@ -92,6 +94,15 @@ def _circulant_4_2():
                          circulant_from_first_row(upper, 4, 2))
 
 
+def _overflowing_3_2():
+    """The circulant family of ``test_cli.TestOverflowingFamilies``: lower
+    diagonals 1e308, off-diagonals in [-1e300, 1e300]; the c products
+    overflow, so summary sides read ``Infinity``."""
+    return make_interval(
+        circulant_from_first_row([1e308, -1e300, 1e300, -1e300], 3, 2),
+        circulant_from_first_row([1.5e308, 1e300, 1e300, 1e300], 3, 2))
+
+
 # Families written with json.dumps, which keeps "-0.0".
 FAMILIES = {
     "off_grid_signed_zero": lambda: _off_grid_signed_zero(),
@@ -100,6 +111,7 @@ FAMILIES = {
         4, 2, offdiag_range=(-0.5, 0.5), structure="symmetric", seed=2)),
     "dim_one_4": lambda: make_interval(make_tensor(4, 1, [0.5]),
                                        make_tensor(4, 1, [2.0])),
+    "overflowing_3_2": _overflowing_3_2,
 }
 
 
@@ -109,8 +121,9 @@ def _input(name: str, tmp_path: Path) -> str:
         shutil.copy(DATA / f"{name}.json", path)
     elif name == "boundary_3_3":
         path.write_text(dumps_report(interval_to_json(boundary_interval(3, 3))))
-    elif name == "generated_3_6_seed1":
-        assert main(["generate", "--m", "3", "--n", "6", "--seed", "1",
+    elif name.startswith("generated_"):
+        m, n, seed = name.removeprefix("generated_").replace("seed", "").split("_")
+        assert main(["generate", "--m", m, "--n", n, "--seed", seed,
                      "--output", str(path)]) == 0
     else:
         # json.dumps keeps "-0.0"; the report writer's "-0" would load as +0.
@@ -366,6 +379,13 @@ GOLDEN = {
         0, "9676d46e0bc1ba725c4b2301a5eb32d93c0f6bda27726b0a3aa21f530a14377b"),
     ("dim_one_4", "z"): (
         0, "2ecbc910194bdbbc5e943faf0bfd24f204d86f3e01c0f7c59d640386a5b11429"),
+    # Recorded before the summary was grouped per block and written from its
+    # columns: the benchmark's largest rung (115k records, above
+    # SMALL_LEDGER) and infinite sides.
+    ("generated_3_8_seed1", "double_b_summary"): (
+        1, "8134e22a85acd235d84460089e1000215c66bd282cbd5303e9f090300e18843b"),
+    ("overflowing_3_2", "double_b_summary"): (
+        1, "7f50f89aac9cda1ddb886559b310b2bf7f21575f395366bf971764ef90fc9d61"),
 }
 
 

@@ -293,3 +293,70 @@ def test_dim_one_sides_are_floats(tol):
             assert len(ledger) > 0, label
             sides += [(rec.lhs, rec.rhs) for rec in ledger]
         assert all(isinstance(x, float) for pair in sides for x in pair)
+
+
+def _reordered(b, rng, whole_runs):
+    """Block ``b`` with numpy-array columns (so no run length is known) and
+    its records reordered: its runs of one (row, pair row) shuffled whole
+    when ``whole_runs``, so rows run out of order in runs of one length,
+    else record by record."""
+    cols = [None if c is None else np.array(c) for c in b[1:]]
+    rows, pair_rows = cols[0], cols[4]
+    size = len(rows)
+    order = rng.permutation(size)
+    if whole_runs:
+        change = rows[1:] != rows[:-1]
+        if pair_rows is not None:
+            change |= pair_rows[1:] != pair_rows[:-1]
+        runs = np.split(np.arange(size), np.flatnonzero(change) + 1)
+        order = np.concatenate([runs[k] for k in rng.permutation(len(runs))])
+    return LedgerBlock(b.condition, *(None if c is None else c[order] for c in cols))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("whole_runs", (True, False), ids=("runs", "records"))
+@pytest.mark.parametrize("small_ledger", (0, 1 << 30), ids=("arrays", "records"))
+@pytest.mark.parametrize("kind", ("grid", "boundary", "signed_zero", "overflow"))
+def test_summary_merges_reordered_array_blocks(kind, whole_runs, small_ledger,
+                                               monkeypatch):
+    # Two ledgers of one family (at tolerances 0 and 0.5) as one ledger of
+    # numpy-array blocks: every key of the second comes back in a later
+    # block, with other sides and failures, and rows run out of order inside
+    # each block.
+    monkeypatch.setattr(interval_classify, "SMALL_LEDGER", small_ledger)
+    reduced = []
+    runs = interval_classify._runs
+    monkeypatch.setattr(interval_classify, "_runs",
+                        lambda b, run: reduced.append(run) or runs(b, run))
+    rng = np.random.default_rng(sorted(FAMILIES).index(kind))
+    for AI in FAMILIES[kind]():
+        exact = [ledger for _, ledger in ledgers(AI, 0.0)]
+        loose = [ledger for _, ledger in ledgers(AI, 0.5)]
+        for first, second in zip(exact, loose[1:] + loose):
+            blocks = [_reordered(b, rng, whole_runs)
+                      for b in (*first.blocks, *second.blocks)]
+            ledger = Ledger(blocks, AI.order, AI.dim)
+            want = _canon(reference_summary(list(ledger)))
+            assert _canon(ledger.summary()) == want
+    if small_ledger:
+        assert not reduced  # every ledger went record by record
+    elif whole_runs:
+        assert reduced  # runs of one length went through the numpy pass
+
+
+@pytest.mark.parametrize("rows", [
+    [1, 1, 0, 0, 1, 1],  # one length, row 1 back later in the block
+    [0, 0, 1, 1, 2],  # a shorter last run
+    [0, 1, 1, 0],  # runs of mixed lengths
+    [2, 2, 2],  # one run
+    [0],
+])
+def test_summary_cuts_array_runs(rows, monkeypatch):
+    monkeypatch.setattr(interval_classify, "SMALL_LEDGER", 0)
+    size = len(rows)
+    lhs = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 4.0][:size])
+    rhs = np.array([1.0, 1.5, 1.0, 0.0, 0.5, 1.0][:size])
+    block = LedgerBlock("b", np.array(rows), lhs, rhs, lhs > rhs,
+                        tails=np.arange(size) % 3)
+    ledger = Ledger([block, block._replace(lhs=lhs - 1.0)], 3, 3)
+    assert _canon(ledger.summary()) == _canon(reference_summary(list(ledger)))

@@ -325,6 +325,12 @@ class TestJson:
         with pytest.raises(ValueError, match="entries\\[1\\]"):
             tensor_from_json({"order": 2, "dim": 1, "entries": [1.0, "x"][:1] + ["x"]})
 
+    @pytest.mark.parametrize("bad", ["x", True, None, [1.0], {"v": 1}])
+    def test_rejects_a_non_number_at_the_last_index(self, bad):
+        entries = [1.0, 2, -0.5, 3.25, 4.0, 5, 6.5, bad]
+        with pytest.raises(ValueError, match=r"^entries\[7\] is not a number$"):
+            tensor_from_json({"order": 3, "dim": 2, "entries": entries})
+
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="missing key"):
             tensor_from_json({"order": 2, "dim": 1})
