@@ -9,10 +9,14 @@ deterministic sampling falsifier for the P property.
 The falsifier's candidates depend only on (dim, budget, seed) and the block
 length.  A candidate set of at most ``P_BLOCK_ENTRIES`` entries (512 KB) is
 drawn once and replayed to every later call with the same key, so the
-members of one family share one draw; the last 16 such sets are kept
-(8 MB at most), and larger sets are drawn anew on every call.  Candidates,
-block boundaries, the exact recheck and the early stop are the same either
-way, and so is every result.
+members of one family share one draw, and larger sets are drawn anew on
+every call.  When the whole set's Kronecker power at the tensor's order has
+at most twice as many entries (1 MB), each block's contiguous transpose and
+power are kept with it, so a replayed call is one matrix product per block.
+The last 16 sets are kept: 512 KB of candidates and at most 1.5 MB of
+transposes and powers each, 32 MB in all.  Candidates, block boundaries, the
+exact recheck and the early stop are the same either way, and so is every
+result.
 
 Verdicts are three-valued.  A failing verdict carries a witness holding the
 1-based row, the offending trailing multi-index or row pair, and the two
@@ -38,6 +42,7 @@ from .tensor import (
     gamma_plus,
     is_circulant,
     is_symmetric,
+    kron_power_t,
     offdiag_tail_flats,
     ordered_sum,
     tail1,
@@ -351,11 +356,14 @@ class _Replay:
     """``_p_blocks(*key)`` drawn once and replayed: ``blocks`` holds the
     blocks drawn so far, read-only, and the generator continues the stream.
     Each block is drawn by the first iteration to reach it, so an early
-    stop leaves the later blocks undrawn."""
+    stop leaves the later blocks undrawn.  ``powers`` holds, per (block
+    index, order), the block's contiguous transpose and its transposed
+    Kronecker power, read-only, built by the first ``power`` call."""
 
     def __init__(self, key: tuple[int, int, int, int]):
         self.key = key
         self.blocks: list[np.ndarray] = []
+        self.powers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._source = _p_blocks(*key)
         self._lock = threading.Lock()
 
@@ -384,10 +392,30 @@ class _Replay:
         self.blocks.append(X)
         return True
 
+    def power(self, k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(contiguous X.T, ``kron_power_t(X.T, order)``) of block k, kept
+        only once both are built."""
+        got = self.powers.get((k, order))
+        if got is None:
+            with self._lock:
+                got = self.powers.get((k, order))
+                if got is None:
+                    XT = np.ascontiguousarray(self.blocks[k].T)
+                    got = (XT, kron_power_t(XT, order))
+                    for arr in got:
+                        arr.flags.writeable = False
+                    self.powers[k, order] = got
+        return got
+
 
 @lru_cache(maxsize=16)
 def _p_stream(n: int, budget: int, seed: int, rows: int) -> _Replay:
     return _Replay((n, budget, seed, rows))
+
+
+# Held around ``_p_stream``: two threads missing the cache at once would
+# otherwise each get a replay of their own, and each keep its own blocks.
+_p_stream_lock = threading.Lock()
 
 
 def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
@@ -398,7 +426,9 @@ def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
     (by index, under the exact entrywise evaluation) is reported; the scan
     stops at the first block holding one.  Absence of a falsifier is not a
     membership certificate.  With an integer seed, a candidate set of at
-    most ``P_BLOCK_ENTRIES`` entries is replayed from ``_p_stream``.
+    most ``P_BLOCK_ENTRIES`` entries is replayed from ``_p_stream``; when
+    its whole Kronecker power has at most twice that many entries, each
+    block's power is replayed too and the contraction is one product.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -406,14 +436,21 @@ def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
     # anything at or below this margin is re-decided exactly.
     margin = 1e-9 * (1.0 + float(np.max(np.abs(A.entries))) * A.row_len)
     n, rows = A.dim, max(1, P_BLOCK_ENTRIES // A.row_len)
-    size = (2 * n + (1 << n if n <= 20 else 0) + budget) * n
-    kept = size <= P_BLOCK_ENTRIES and isinstance(seed, (int, np.integer))
+    count = 2 * n + (1 << n if n <= 20 else 0) + budget
+    kept = count * n <= P_BLOCK_ENTRIES and isinstance(seed, (int, np.integer))
+    replay_power = kept and count * A.row_len <= 2 * P_BLOCK_ENTRIES
+    if kept:
+        with _p_stream_lock:
+            stream = _p_stream(n, budget, seed, rows)
+    else:
+        stream = _p_blocks(n, budget, seed, rows)
     seen = 0
-    for X in (_p_stream if kept else _p_blocks)(n, budget, seed, rows):
+    for k, X in enumerate(stream):
+        XT, power = stream.power(k, A.order) if replay_power else (X.T, None)
         # Reduced over the transposed views, which is faster; the order of
         # a maximum changes at most the sign of a zero, which the filter
         # below ignores.
-        vals = np.max(X.T * tensor_apply_many(A, X).T, axis=0)
+        vals = np.max(XT * tensor_apply_many(A, X, power=power).T, axis=0)
         for idx in np.nonzero(vals <= margin)[0]:
             x = X[int(idx)]
             exact = max(x[i] * v for i, v in enumerate(tensor_apply(A, x)))

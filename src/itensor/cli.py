@@ -37,8 +37,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import __version__
 from .classify import (
     B_METHODS,
@@ -137,6 +135,14 @@ def _scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _finite_floats(values: list) -> bool:
+    """True when every value is a finite Python float, which ``%.17g``
+    writes as ``_scalar`` does.  A sum of finite doubles is finite unless it
+    overflows, which only sends the values down the slower, equally exact
+    per-value branch."""
+    return set(map(type, values)) <= {float} and math.isfinite(sum(values))
+
+
 def _list_text(items, pad: str, close: str) -> str:
     return "[\n" + ",\n".join(f"{pad}{x}" for x in items) + f"\n{close}]"
 
@@ -170,8 +176,8 @@ def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
             cols = [[two_rows[i][j] for i, j in zip(b.rows, b.pair_rows)]]
         lhs, rhs, passed = b.values()
         num = "%.17g"
-        if not (np.isfinite(b.lhs).all() and np.isfinite(b.rhs).all()):
-            lhs, rhs, num = [_number(x) for x in lhs], [_number(x) for x in rhs], "%s"
+        if not _finite_floats([*lhs, *rhs]):
+            lhs, rhs, num = [_scalar(x) for x in lhs], [_scalar(x) for x in rhs], "%s"
         cols += [lhs, rhs, ["true" if ok else "false" for ok in passed]]
         cond = encode_basestring_ascii(b.condition).replace("%", "%%")
         tmpl = (
@@ -198,10 +204,8 @@ def _summary_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
     one_row, two_rows, _ = _index_texts(view.order, view.dim, depth + 1, indent)
     tails = _index_texts(view.order, view.dim, depth + 2, indent)[2]
     values = [x for g in view.groups for s in g[5:] if s is not None for x in s[:2]]
-    # A sum of finite doubles is finite unless it overflows, which only
-    # sends the values down the slower, equally exact branch.
     num = "%.17g"
-    if not (set(map(type, values)) <= {float} and math.isfinite(sum(values))):
+    if not _finite_floats(values):
         num, values = "%s", [_scalar(x) for x in values]
     values = iter(values)
 

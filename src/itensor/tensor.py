@@ -38,6 +38,7 @@ __all__ = [
     "row_sum",
     "gamma_plus",
     "tensor_apply",
+    "kron_power_t",
     "tensor_apply_many",
     "sign_transform",
     "is_symmetric",
@@ -318,27 +319,41 @@ def tensor_apply(A: Tensor, x: Sequence[float]) -> list[float]:
     return out
 
 
-def tensor_apply_many(A: Tensor, X: np.ndarray) -> np.ndarray:
+def kron_power_t(XT: np.ndarray, order: int) -> np.ndarray:
+    """The transposed row-wise Kronecker power of a batch of vectors.
+
+    ``XT`` is the (dim, count) transpose of the batch; the result has shape
+    (dim**(order-1), count), with row f holding x[i2] * ... * x[im] for the
+    trailing multi-index of offset f.  Products run over long rows, with the
+    batch along the last axis; at order 2 the result is ``XT`` itself.
+    """
+    n, count = XT.shape
+    KT = XT
+    for _ in range(order - 2):
+        KT = (KT[:, None, :] * XT[None, :, :]).reshape(KT.shape[0] * n, count)
+    return KT
+
+
+def tensor_apply_many(A: Tensor, X: np.ndarray, *, power: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Vectorized A x^(m-1) for a batch of vectors X of shape (count, dim).
 
-    One matrix product: the row-wise Kronecker power of X, of shape
-    (count, n**(m-1)) with column f holding x[i2] * ... * x[im] for the
-    trailing multi-index of offset f, times the (n**(m-1), n) transpose of
-    the entries viewed as rows.  The power is built and multiplied
-    transposed, with the batch along the last axis, so that every
-    elementwise product runs over long rows; the result is a (count, dim)
-    view of that transposed product.  Products associate and sums
-    accumulate differently from tensor_apply; callers needing the
-    canonical value must recheck borderline results with tensor_apply.
+    One matrix product: the entries viewed as (n, n**(m-1)) rows times the
+    transposed Kronecker power of X (``kron_power_t``); the result is a
+    (count, dim) view of that (dim, count) product.  A caller that keeps
+    the power of X passes it as ``power``, and it is multiplied as given.  Products associate and sums accumulate
+    differently from tensor_apply; callers needing the canonical value must
+    recheck borderline results with tensor_apply.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != A.dim:
         raise ValueError(f"expected batch shape (count, {A.dim}), got {X.shape}")
-    XT = np.ascontiguousarray(X.T)
-    KT = XT
-    for _ in range(A.order - 2):
-        KT = (KT[:, None, :] * XT[None, :, :]).reshape(-1, len(X))
-    return (A.entries.reshape(A.dim, -1) @ KT).T
+    if power is None:
+        power = kron_power_t(np.ascontiguousarray(X.T), A.order)
+    elif power.shape != (A.row_len, len(X)):
+        raise ValueError(
+            f"expected power shape {(A.row_len, len(X))}, got {power.shape}")
+    return (A.entries.reshape(A.dim, -1) @ power).T
 
 
 def sign_transform(Ac: Tensor, Delta: Tensor, z: Sequence[int]) -> Tensor:

@@ -81,6 +81,20 @@ class TestDumpsReport:
         assert any(": 100000000000000000000,\n" in text for text in texts)
 
 
+    @pytest.mark.parametrize("side, token", (
+        (10**20, "100000000000000000000"), (2**53 + 1, "9007199254740993"),
+        (math.inf, "Infinity"), (-0.0, "-0")))
+    def test_full_ledger_writer_on_any_side(self, side, token):
+        # Integers beyond int64 or 2**53, infinities and signed zeros are
+        # written by the full-ledger writer as by the generic one.
+        ledger = Ledger([LedgerBlock("a", [0, 1], [side, 2.5], [1.0, side],
+                                     [True, False])], 3, 2)
+        for indent in (2, 3):
+            text = dumps_report({"c": ledger.dicts()}, indent)
+            assert text == dumps_report({"c": list(ledger.dicts())}, indent)
+        assert f'"lhs": {token},\n' in text
+
+
 class TestCheckVerb:
     def test_interval_b_reject(self, reject_file, capsys):
         code = main(["check", "--class", "interval-b", "--method", "theorem",

@@ -11,6 +11,7 @@ candidates are replayed from a kept stream (``classify._p_stream``).
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -294,7 +295,15 @@ def test_a_draw_cut_short_restarts_the_stream(monkeypatch, fresh_streams):
     assert len(starts) == 2
 
 
-def test_threads_share_one_stream(fresh_streams):
+def test_threads_share_one_stream(monkeypatch, fresh_streams):
+    builds = []
+    real = classify.kron_power_t
+
+    def counted(XT, order):
+        builds.append(order)
+        return real(XT, order)
+
+    monkeypatch.setattr(classify, "kron_power_t", counted)
     members = _p_members(4, 2, P_SHAPES[0][2], 80, 6)
     refs = [_bits(reference_falsify_p(T, 10_000, 6)) for T in members]
     results = [None] * 4
@@ -314,3 +323,81 @@ def test_threads_share_one_stream(fresh_streams):
     assert not any(t.is_alive() for t in threads)
     assert results == [refs] * 4
     assert fresh_streams.cache_info().currsize == 1
+    stream = fresh_streams(2, 10_000, 6, _rows(members[0]))
+    assert sorted(stream.powers) == [(k, 4) for k in range(len(stream.blocks))]
+    assert builds == [4] * len(stream.blocks)  # one power object per block
+
+
+def test_threads_missing_the_cache_at_once_make_one_stream(monkeypatch, fresh_streams):
+    made = []
+
+    class SlowReplay(classify._Replay):
+        def __init__(self, key):
+            made.append(key)
+            time.sleep(0.05)  # every thread reaches the cache before it fills
+            super().__init__(key)
+
+    monkeypatch.setattr(classify, "_Replay", SlowReplay)
+    T = diagonal_tensor(4, 2, 6.0)
+    threads = [threading.Thread(target=falsify_p, args=(T, 10_000, 5)) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert made == [(2, 10_000, 5, _rows(T))]
+
+
+# ----------------------------------------------------- replayed Kronecker powers
+
+
+def test_kept_powers_are_read_only(fresh_streams):
+    T = diagonal_tensor(4, 2, 6.0)
+    assert not falsify_p(T, budget=10_000, seed=2).falsified
+    stream = fresh_streams(2, 10_000, 2, _rows(T))
+    assert sorted(stream.powers) == [(k, 4) for k in range(4)]
+    for k, X in enumerate(stream.blocks):
+        XT, power = stream.powers[k, 4]
+        assert XT.flags.c_contiguous and XT.tobytes() == X.T.copy().tobytes()
+        assert power.shape == (T.row_len, len(X))
+        for arr in (XT, power):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
+def _power_budget(T):
+    """The budget whose candidate set's power has exactly twice
+    ``P_BLOCK_ENTRIES`` entries."""
+    n = T.dim
+    return 2 * classify.P_BLOCK_ENTRIES // T.row_len - 2 * n - (1 << n)
+
+
+def test_a_power_over_the_cap_is_not_kept(fresh_streams):
+    for k, T in enumerate(_p_members(4, 2, P_SHAPES[0][2], 90, 2)):
+        at = _power_budget(T)
+        assert (at + 2 * 2 + 4) * T.row_len == 2 * classify.P_BLOCK_ENTRIES
+        for budget, keeps in ((at, True), (at + 1, False)):
+            assert_same(T, budget, seed=k)
+            stream = fresh_streams(2, budget, k, _rows(T))  # candidates kept
+            assert len(stream.blocks) > 1
+            assert bool(stream.powers) is keeps
+            assert_same(T, budget, seed=k)
+
+
+def test_a_power_build_cut_short_keeps_nothing(monkeypatch, fresh_streams):
+    real = classify.kron_power_t
+
+    def failing(XT, order):
+        real(XT, order)
+        raise MemoryError
+
+    T = diagonal_tensor(4, 2, 6.0)
+    monkeypatch.setattr(classify, "kron_power_t", failing)
+    with pytest.raises(MemoryError):
+        falsify_p(T, budget=10_000, seed=8)
+    stream = fresh_streams(2, 10_000, 8, _rows(T))
+    assert stream.powers == {} and len(stream.blocks) == 1
+    monkeypatch.setattr(classify, "kron_power_t", real)
+    assert _bits(falsify_p(T, budget=10_000, seed=8)) == _bits(
+        reference_falsify_p(T, 10_000, 8))
+    assert len(stream.powers) == len(stream.blocks) == 4

@@ -25,6 +25,7 @@ from itensor import (
 from itensor.tensor import (
     MAX_ORDER,
     circulant_source,
+    kron_power_t,
     orbit_map,
     tail_to_flat,
     tensor_apply_many,
@@ -160,6 +161,24 @@ class TestTensorApply:
         for k in range(50):
             exact = tensor_apply(T, X[k])
             assert np.allclose(batched[k], exact, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m", (2, 3, 4, 5))
+    def test_empty_batch(self, m):
+        for n in (1, 2, 3):
+            T = make_tensor(m, n, np.arange(n**m, dtype=float))
+            assert tensor_apply_many(T, np.empty((0, n))).shape == (0, n)
+
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_given_power_gives_the_same_bits(self, m):
+        rng = np.random.default_rng(m)
+        T = make_tensor(m, 3, rng.uniform(-2, 2, 3**m))
+        X = rng.standard_normal((40, 3))
+        power = kron_power_t(np.ascontiguousarray(X.T), m)
+        assert power.shape == (3 ** (m - 1), 40)
+        got = tensor_apply_many(T, X, power=power)
+        assert got.tobytes() == tensor_apply_many(T, X).tobytes()
+        with pytest.raises(ValueError, match="power shape"):
+            tensor_apply_many(T, X[:39], power=power)
 
 
 class TestSignTransform:
