@@ -149,30 +149,38 @@ def _list_text(items, pad: str, close: str) -> str:
 
 @lru_cache(maxsize=64)
 def _index_texts(order: int, dim: int, depth: int, indent: int) -> tuple:
-    """The JSON lists of rows, row pairs and tails at ``depth``, as
-    ``dumps_report`` writes them: one row (by 0-based row), two rows (by
-    both) and a 1-based tail (by flat offset)."""
+    """The JSON lists of one row and of a tail at ``depth``, as
+    ``dumps_report`` writes them: a row by its 0-based index and a 1-based
+    tail by its flat offset.  The n**2 row pairs are ``_pair_texts``."""
     pad, close = " " * (indent * (depth + 1)), " " * (indent * depth)
-    rows = range(1, dim + 1)
     shape = SimpleNamespace(order=order, dim=dim)
     return (
-        tuple(_list_text((i,), pad, close) for i in rows),
-        tuple(tuple(_list_text((i, j), pad, close) for j in rows) for i in rows),
+        tuple(_list_text((i,), pad, close) for i in range(1, dim + 1)),
         tuple(_list_text(tail1(shape, f), pad, close)
               for f in range(dim ** (order - 1))),
     )
+
+
+@lru_cache(maxsize=16)
+def _pair_texts(dim: int, depth: int, indent: int) -> tuple:
+    """The JSON lists of two rows at ``depth``, by both 0-based rows; built
+    only for a report that holds a row-pair condition."""
+    pad, close = " " * (indent * (depth + 1)), " " * (indent * depth)
+    rows = range(1, dim + 1)
+    return tuple(tuple(_list_text((i, j), pad, close) for j in rows) for i in rows)
 
 
 def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
     """One JSON object per record, written straight from the ledger's
     columns with one template per block."""
     p1, p2 = (" " * (indent * d) for d in (depth, depth + 1))
-    one_row, two_rows, tails = _index_texts(ledger.order, ledger.dim, depth + 1, indent)
+    one_row, tails = _index_texts(ledger.order, ledger.dim, depth + 1, indent)
     lines = []
     for b in ledger.blocks:
         if b.pair_rows is None:
             cols = [[one_row[i] for i in b.rows]]
         else:
+            two_rows = _pair_texts(ledger.dim, depth + 1, indent)
             cols = [[two_rows[i][j] for i, j in zip(b.rows, b.pair_rows)]]
         lhs, rhs, passed = b.values()
         num = "%.17g"
@@ -201,8 +209,10 @@ def _summary_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
     tightest record and the first failure (or its ``null``) carry a tail
     and a pair tail."""
     p1, p2, p3 = (" " * (indent * d) for d in (depth, depth + 1, depth + 2))
-    one_row, two_rows, _ = _index_texts(view.order, view.dim, depth + 1, indent)
-    tails = _index_texts(view.order, view.dim, depth + 2, indent)[2]
+    one_row = _index_texts(view.order, view.dim, depth + 1, indent)[0]
+    tails = _index_texts(view.order, view.dim, depth + 2, indent)[1]
+    if any(g[2] >= 0 for g in view.groups):
+        two_rows = _pair_texts(view.dim, depth + 1, indent)
     values = [x for g in view.groups for s in g[5:] if s is not None for x in s[:2]]
     num = "%.17g"
     if not _finite_floats(values):

@@ -21,10 +21,19 @@ restatements over its arrays.  ``verdict_report`` (also bound here as
 ``interval_verdict_report``) writes it as ``Ledger.dicts()``, a lazy
 sequence of dicts, not a list; ``Ledger.summary()`` condenses it to one
 group per condition id and row (or row pair), the form the CLI writes by
-default (as ``Ledger.summary_view()``, the same groups as tuples).  The
-summary reduces each block by its runs of one row (or row pair), which the
-criteria write contiguously, so it never sorts or gathers the whole
-ledger.  Rows and trailing indices in records and witnesses are 1-based.
+default (as ``Ledger.summary_view()``, the same groups as tuples).  Rows
+and trailing indices in records and witnesses are 1-based.
+
+Memory: each kernel block is a grid, groups of one row or row pair that
+hold one record, or one per off-diagonal position (or position pair).  A
+verdict's ledger holds only its lhs, rhs and passed columns; the index
+columns are ``_IndexColumn``s, derived on access from the group rows and
+the shape's off-diagonal offsets, so the per-shape caches (``_layout``,
+``_pair_layout``) hold O(n**2 + n*q) integers and nothing per record.  The
+kernel's sums over (n, q, q)-sized terms, and the summary's reduction of
+each block by its groups, run in slices of at most ``CHUNK_ENTRIES``
+entries.  The CLI's ``--ledger full`` report is still built whole in
+memory, as one string.
 """
 
 from __future__ import annotations
@@ -109,8 +118,9 @@ class LedgerBlock(NamedTuple):
 
     ``rows``/``pair_rows`` hold 0-based row indices and ``tails``/
     ``pair_tails`` flat offsets inside a row; records convert both to the
-    1-based form.  Columns are lists or numpy arrays of one length; an
-    optional column is None when the condition binds one row or no position.
+    1-based form.  Columns are lists, numpy arrays or a grid block's
+    ``_IndexColumn``s, of one length; an optional column is None when the
+    condition binds one row or no position.
     """
 
     condition: str
@@ -233,7 +243,7 @@ class Ledger(Sequence):
             col = getattr(b, name)
             if col is None:
                 col = np.full(len(b.lhs), -1, dtype=dtype)
-            parts.append(np.asarray(getattr(col, "array", col), dtype=dtype))
+            parts.append(np.asarray(col, dtype=dtype))
         return np.concatenate(parts)
 
     def __hash__(self):
@@ -335,6 +345,7 @@ def _records_at(b: LedgerBlock, idx: list) -> list[tuple]:
     return list(zip(*(
         repeat(None) if c is None
         else c[idx].tolist() if isinstance(c, np.ndarray)
+        else c.take(idx) if isinstance(c, _IndexColumn)
         else [_value(c, k) for k in idx]
         for c in (b.lhs, b.rhs, b.tails, b.pair_tails)
     )))
@@ -342,10 +353,10 @@ def _records_at(b: LedgerBlock, idx: list) -> list[tuple]:
 
 def _run_length(b: LedgerBlock) -> int:
     """The common length of the runs of one (row, pair row) in block ``b``,
-    0 when they differ.  A layout's index columns carry it
-    (``_IndexColumn.run``); other blocks are cut where a row changes."""
-    run = getattr(b.rows, "run", 0)
-    if run and getattr(b.pair_rows, "run", run) == run:
+    0 when they differ: a grid block's group size (``_IndexColumn.per``);
+    other blocks are cut where a row changes."""
+    run = getattr(b.rows, "per", 0)
+    if run and getattr(b.pair_rows, "per", run) == run:
         return run
     size = len(b.lhs)
     if size < 2:
@@ -381,27 +392,34 @@ def _runs(b: LedgerBlock, run: int) -> list[tuple]:
     per run its row, pair row (-1 when none), records, failed records, the
     least lhs - rhs (NaN when every difference is NaN), the tightest record
     (the first at that least, else the run's first) and the first failing
-    record (None when none), each record as in ``_records_at``."""
-    size = len(b.lhs)
+    record (None when none), each record as in ``_records_at``.  The runs
+    are reduced ``CHUNK_ENTRIES`` records at a time, so no temporary spans
+    the block."""
     rows = _ints(b.rows[::run])
     pairs = repeat(-1) if b.pair_rows is None else _ints(b.pair_rows[::run])
-    diff = np.subtract(b.lhs, b.rhs, dtype=float).reshape(-1, run)
-    # fmin skips NaN: a run's least is NaN only when all of it is, and NaN
-    # equals nothing, so such a run reports its first record.
-    least = np.fmin.reduce(diff, axis=1)
-    tight = (diff == least[:, None]).argmax(axis=1).tolist()
-    idx = [k + r for k, r in zip(tight, range(0, size, run))]
+    lhs, rhs = (np.asarray(c, dtype=float).reshape(-1, run) for c in (b.lhs, b.rhs))
+    least, idx = [], []
+    step = max(1, CHUNK_ENTRIES // run)
+    for lo in range(0, len(lhs), step):
+        diff = lhs[lo:lo + step] - rhs[lo:lo + step]
+        # fmin skips NaN: a run's least is NaN only when all of it is, and
+        # NaN equals nothing, so such a run reports its first record.
+        low = np.fmin.reduce(diff, axis=1)
+        least += low.tolist()
+        idx += (diff == low[:, None]).argmax(axis=1).tolist()
+    starts = range(0, len(b.lhs), run)
+    idx = [k + r for k, r in zip(idx, starts)]
     passed = np.asarray(b.passed, dtype=bool).reshape(-1, run)
     failed = repeat(0)
     if not passed.all():
         failed = (run - passed.sum(axis=1)).tolist()
         idx += [k + r for k, r, f in zip(
-            passed.argmin(axis=1).tolist(), range(0, size, run), failed) if f]
+            passed.argmin(axis=1).tolist(), starts, failed) if f]
     sides = _records_at(b, idx)
-    first = iter(sides[len(rows):])
+    first = iter(sides[len(least):])
     return [
         (row, pair, run, f, d, side, next(first) if f else None)
-        for row, pair, f, d, side in zip(rows, pairs, failed, least.tolist(), sides)
+        for row, pair, f, d, side in zip(rows, pairs, failed, least, sides)
     ]
 
 
@@ -515,23 +533,59 @@ class NecessaryReport:
     member_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
-class _IndexColumn(tuple):
-    """A cached layout index column: a tuple of ints for records and the
-    full report writer, whose integer array ``Ledger._column`` builds once,
-    on first use.  A row column comes in runs of ``run`` equal values (its
-    pair row column too), which ``_runs`` reads; 0 means unknown."""
+class _IndexColumn(Sequence):
+    """An index column of a grid block, derived on access from the group
+    rows: ``len(groups)`` groups of ``per`` records, record k at offset
+    j = k % per of group k // per, reading ``table[row][j // step % w]``
+    for the group's row and w the width of the table's rows.
 
-    run = 0
+    A row column's table holds each row itself, [i], with step ``per``.  A
+    tail column's holds each row's off-diagonal offsets
+    (``row_layout(...).od``): b1 and c2 tails step 1, c1 tails step q, c1
+    pair tails step 1, the row repeated q times.  A record is read with
+    integer arithmetic on these lists; the column as a list (iteration) or
+    an integer array (``__array__``) is built only when asked for.
+    """
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array(self, dtype=np.intp)
+    __slots__ = ("groups", "per", "table", "step")
 
+    def __init__(self, groups: list, per: int, table: list, step: int = 1):
+        self.groups, self.per, self.table, self.step = groups, per, table, step
 
-def _col(a, run: int = 0) -> _IndexColumn:
-    col = _IndexColumn(np.asarray(a).ravel().tolist())
-    col.run = run
-    return col
+    def __len__(self) -> int:
+        return len(self.groups) * self.per
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self.take(range(*k.indices(len(self))))
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("index column index out of range")
+        values = self.table[self.groups[k // self.per]]
+        return values[k % self.per // self.step % len(values)]
+
+    def take(self, idx) -> list:
+        """Records ``idx`` (each in range) as a list of ints."""
+        per, step, groups, table = self.per, self.step, self.groups, self.table
+        w = len(table[0])
+        return [table[groups[k // per]][k % per // step % w] for k in idx]
+
+    def __iter__(self):
+        table, step = self.table, self.step
+        if step > 1:  # per == step * w: each entry repeated step times
+            return iter([v for g in self.groups for v in table[g] for _ in range(step)])
+        copies = self.per // len(table[0]) if self.per else 0
+        return iter([v for g in self.groups for v in table[g] * copies])
+
+    def __array__(self, dtype=None, copy=None):
+        if not len(self):
+            return np.zeros(0, dtype=dtype or np.intp)
+        base = np.asarray(self.table, dtype=np.intp)[self.groups]
+        g, w = base.shape
+        shape = (g, self.per // (w * self.step), w, self.step)
+        col = np.broadcast_to(base[:, None, :, None], shape).reshape(-1)
+        return col if dtype is None else col.astype(dtype, copy=False)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -539,47 +593,65 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The most entries a kernel or summary temporary holds: larger quantities
+# are built in slices of rows (or runs) of at most this many entries, at
+# least one row each, so memory stays bounded at large n**(m-1).
+CHUNK_ENTRIES = 1 << 18
+
+
+def _by_rows(n: int, per_row: int, part) -> np.ndarray:
+    """``part(rows)`` over slices of the n rows, each of at most
+    ``CHUNK_ENTRIES`` entries of ``per_row`` a row (at least one row),
+    joined along axis 0; with one slice, ``part``'s own array."""
+    step = max(1, CHUNK_ENTRIES // max(per_row, 1))
+    if step >= n:
+        return part(slice(0, n))
+    parts = [part(slice(lo, lo + step)) for lo in range(0, n, step)]
+    return _frozen(np.concatenate(parts))
+
+
 class _Layout(NamedTuple):
     """The tables of one (order, dim): index columns as LedgerBlock keywords
-    (``_IndexColumn``s of 0-based rows and flat tails) and kernel masks."""
+    (``_IndexColumn``s of 0-based rows and flat tails)."""
 
     row: dict  # one record per row
     position: dict  # one record per off-diagonal position
     zeros: np.ndarray  # (n,) the right side 0.0 of the row-sum conditions
-    not_self: np.ndarray  # (q, q) off-diagonal t is not k
-    not_at: np.ndarray  # (n, q, q + 1) position p is not od[i, k]
+    drop: np.ndarray  # (n * q,) flat offset of [i, k, od[i, k]] in (n, q, r)
 
 
 @lru_cache(maxsize=32)
 def _layout(order: int, dim: int) -> _Layout:
     od = row_layout(order, dim).od
-    n, q = od.shape
-    rows = np.arange(n)
+    q, rows, single = od.shape[1], list(range(dim)), [[i] for i in range(dim)]
     return _Layout(
-        {"rows": _col(rows, 1)},
-        {"rows": _col(np.repeat(rows, q), q), "tails": _col(od)},
-        _frozen(np.zeros(n)),
-        _frozen(~np.eye(q, dtype=bool)),
-        _frozen(od[:, :, None] != np.arange(q + 1)),
+        {"rows": _IndexColumn(rows, 1, single)},
+        {"rows": _IndexColumn(rows, q, single, q),
+         "tails": _IndexColumn(rows, q, od.tolist())},
+        _frozen(np.zeros(dim)),
+        _frozen(np.arange(dim * q) * (q + 1) + od.ravel()),
     )
 
 
 @lru_cache(maxsize=32)
 def _pair_layout(order: int, dim: int) -> tuple[dict, dict, dict]:
-    """The c1, c2 and c3 index columns of the double-B ledger, apart from
-    ``_layout`` because c1 alone holds n (n - 1) q**2 / 2 records."""
+    """The c1, c2 and c3 index columns of the double-B ledger: the row
+    pairs as lists, with ``_layout``'s tables."""
     lay = row_layout(order, dim)
-    iu, ju, ii, jj, od = lay.iu, lay.ju, lay.ii, lay.jj, lay.od
-    q = od.shape[1]
-    square = (len(iu), q, q)
+    q = lay.od.shape[1]
+    position = _layout(order, dim).position
+    single, tails = position["rows"].table, position["tails"].table
+    iu, ju, ii, jj = (x.tolist() for x in (lay.iu, lay.ju, lay.ii, lay.jj))
     return (
-        {"rows": _col(np.repeat(iu, q * q), q * q),
-         "pair_rows": _col(np.repeat(ju, q * q), q * q),
-         "tails": _col(np.broadcast_to(od[iu][:, :, None], square)),
-         "pair_tails": _col(np.broadcast_to(od[ju][:, None, :], square))},
-        {"rows": _col(np.repeat(ii, q), q), "pair_rows": _col(np.repeat(jj, q), q),
-         "tails": _col(od[ii])},
-        {"rows": _col(iu, 1), "pair_rows": _col(ju, 1)},
+        {"rows": _IndexColumn(iu, q * q, single, q * q),
+         "pair_rows": _IndexColumn(ju, q * q, single, q * q),
+         "tails": _IndexColumn(iu, q * q, tails, q),
+         "pair_tails": _IndexColumn(ju, q * q, tails)},
+        {"rows": _IndexColumn(ii, q, single, q),
+         "pair_rows": _IndexColumn(jj, q, single, q),
+         "tails": _IndexColumn(ii, q, tails)},
+        {"rows": _IndexColumn(iu, 1, single),
+         "pair_rows": _IndexColumn(ju, 1, single)},
     )
 
 
@@ -623,17 +695,35 @@ class _RowKernel:
 
     @cached_property
     def others(self) -> np.ndarray:  # ... over every position but od[i, k]
-        lower = self.bounds[0].entries.reshape(len(self.ldiag), 1, -1)
-        return _ordered_sum(np.where(self.lay.not_at, lower, 0.0))
+        lower = self.bounds[0].entries.reshape(len(self.ldiag), -1)
+        n, r = lower.shape
+        q, drop = r - 1, self.lay.drop
+
+        def part(rows):
+            x = np.repeat(lower[rows, None, :], q, axis=1)
+            x.reshape(-1)[drop[rows.start * q:rows.stop * q] - rows.start * q * r] = 0.0
+            return _ordered_sum(x)
+
+        return _by_rows(n, q * r, part)
 
     @cached_property
     def slack(self) -> np.ndarray:  # sum over t of uod[i, k] - lod[i, t]
-        return _ordered_sum(self.uod[:, :, None] - self.lod[:, None, :])
+        return self._terms(False)
 
     @cached_property
     def excl(self) -> np.ndarray:  # ... over t != k
-        terms = self.uod[:, :, None] - self.lod[:, None, :]
-        return _ordered_sum(np.where(self.lay.not_self, terms, 0.0))
+        return self._terms(True)
+
+    def _terms(self, exclude: bool) -> np.ndarray:
+        n, q = self.uod.shape
+
+        def part(rows):
+            terms = self.uod[rows, :, None] - self.lod[rows, None, :]
+            if exclude:
+                terms.reshape(len(terms), -1)[:, :: q + 1] = 0.0
+            return _ordered_sum(terms)
+
+        return _by_rows(n, q * q, part)
 
     @cached_property
     def gap(self) -> np.ndarray:  # lower diagonal - upper off-diagonal
@@ -775,18 +865,23 @@ def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     ldiag, gap, idx = k.ldiag, k.gap, k.idx
     b1_rhs, negsum = _pos(k.excl), _pos(k.negl)
     iu, ju, ii, jj = idx.iu, idx.ju, idx.ii, idx.jj
-    c1_lhs = (gap[iu][:, :, None] * gap[ju][:, None, :]).ravel()
-    c1_rhs = (b1_rhs[iu][:, :, None] * b1_rhs[ju][:, None, :]).ravel()
+    # Both c1 sides in one buffer: one large allocation, which the allocator
+    # keeps for the next check of the shape instead of returning it to the
+    # system (two buffers of half the size are returned and fault in anew).
+    q = gap.shape[1]
+    c1 = np.empty((2, len(iu), q, q))
+    np.multiply(gap[iu][:, :, None], gap[ju][:, None, :], out=c1[0])
+    np.multiply(b1_rhs[iu][:, :, None], b1_rhs[ju][:, None, :], out=c1[1])
     c2_lhs = (gap[ii] * ldiag[jj][:, None]).ravel()
     c2_rhs = (b1_rhs[ii] * negsum[jj][:, None]).ravel()
-    c1, c2, c3 = _pair_layout(AI.order, AI.dim)
+    c1_index, c2_index, c3_index = _pair_layout(AI.order, AI.dim)
     blocks = (
         _block("a", ldiag, k.upos, tol, **k.lay.row),
         _block("b1", gap.ravel(), b1_rhs.ravel(), tol, False, **k.lay.position),
         _block("b2", ldiag, negsum, tol, False, **k.lay.row),
-        _block("c1", c1_lhs, c1_rhs, tol, **c1),
-        _block("c2", c2_lhs, c2_rhs, tol, **c2),
-        _block("c3", ldiag[iu] * ldiag[ju], negsum[iu] * negsum[ju], tol, **c3),
+        _block("c1", *c1.reshape(2, -1), tol, **c1_index),
+        _block("c2", c2_lhs, c2_rhs, tol, **c2_index),
+        _block("c3", ldiag[iu] * ldiag[ju], negsum[iu] * negsum[ju], tol, **c3_index),
     )
     return _verdict("interval_double_b", _ledger(AI, blocks))
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -605,3 +606,19 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--class", "interval-b", "data/example_interval_b_reject.json"],
+        ["check", "--class", "interval-double-b", "--ledger", "full",
+         "data/example_interval_double_b.json"],
+        ["check", "--class", "b"],
+    ], ids=("fails", "holds_full", "usage"))
+    def test_package_invocation_matches_main(self, argv, capsys, monkeypatch):
+        # `python -m itensor` from a checkout: src on the path, no install.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "itensor", *argv],
+                              capture_output=True, cwd=root, env=env)
+        monkeypatch.chdir(root)
+        assert proc.returncode == main(argv)
+        assert proc.stdout == capsys.readouterr().out.encode()

@@ -29,6 +29,7 @@ from itensor import (
     random_interval_tensor,
 )
 from itensor import interval_classify
+from itensor.cli import dumps_report
 from itensor.interval import is_interval_z
 from itensor.interval_classify import INTERVAL_B_METHODS, Ledger, LedgerBlock
 from itensor.tensor import diag_tail_flat, is_circulant
@@ -234,6 +235,39 @@ def _reblocked(ledger, step):
             blocks.append(LedgerBlock(
                 b.condition, *(None if c is None else c[lo:hi] for c in b[1:])))
     return Ledger(blocks, ledger.order, ledger.dim)
+
+
+def _flat(ledger, kind):
+    """The same records with every column a Python list or a numpy array,
+    as blocks are built by hand: no grid index column left."""
+    make = list if kind == "lists" else np.array
+    return Ledger([LedgerBlock(b.condition, *(None if c is None else make(c)
+                                              for c in b[1:]))
+                   for b in ledger.blocks], ledger.order, ledger.dim)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tol", (0.0, 0.5))
+@pytest.mark.parametrize("shape", ((3, 3), (4, 3), (2, 5)), ids=str)
+def test_grid_and_flat_blocks_agree(shape, tol):
+    m, n = shape
+    families = [random_interval_tensor(GeneratorSpec(m, n, seed=seed))
+                for seed in range(3)]
+    families += [boundary_interval(m, n), _off_grid(m, n, 1, signed_zeros=True)]
+    grids = 0
+    for AI in families:
+        for label, grid in ledgers(AI, tol):
+            grids += any(isinstance(b.rows, interval_classify._IndexColumn)
+                         for b in grid.blocks)
+            full = dumps_report({"conditions": grid.dicts()})
+            summary = dumps_report({"conditions": grid.summary_view()})
+            for flat in (_flat(grid, "lists"), _flat(grid, "arrays")):
+                assert grid == flat and flat == grid, label
+                assert _canon(flat.summary()) == _canon(grid.summary()), label
+                assert flat.first_failure() == grid.first_failure(), label
+                assert dumps_report({"conditions": flat.dicts()}) == full, label
+                assert dumps_report({"conditions": flat.summary_view()}) == summary
+    assert grids  # the criteria's own blocks are grids
 
 
 def _with(ledger, k, name, value):
