@@ -72,7 +72,9 @@ from .interval_classify import (
 from .oracle import STRUCTURES, GeneratorSpec, equivalence_suite, random_interval_tensor
 from .tensor import MAX_ORDER, tail1, tensor_from_json
 
-POINT_CLASSES = ("b", "double-b", "z", "sdd", "circulant-b", "p-sufficient", "p-falsify")
+POINT_CLASSES = (
+    "b", "double-b", "z", "sdd", "circulant-b", "p-sufficient", "p-falsify"
+)
 INTERVAL_CLASSES = (
     "interval-b",
     "interval-double-b",
@@ -178,11 +180,12 @@ def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
     lines = []
     for b in ledger.blocks:
         if b.pair_rows is None:
-            cols = [[one_row[i] for i in b.rows]]
+            cols = [[one_row[i] for i in b.column("rows")]]
         else:
             two_rows = _pair_texts(ledger.dim, depth + 1, indent)
-            cols = [[two_rows[i][j] for i, j in zip(b.rows, b.pair_rows)]]
-        lhs, rhs, passed = b.values()
+            pairs = zip(b.column("rows"), b.column("pair_rows"))
+            cols = [[two_rows[i][j] for i, j in pairs]]
+        lhs, rhs, passed = map(b.column, ("lhs", "rhs", "passed"))
         num = "%.17g"
         if not _finite_floats([*lhs, *rhs]):
             lhs, rhs, num = [_scalar(x) for x in lhs], [_scalar(x) for x in rhs], "%s"
@@ -193,10 +196,10 @@ def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
             f'{p2}"lhs": {num},\n{p2}"rhs": {num},\n{p2}"passed": %s'
         )
         if b.tails is not None:
-            cols.append([tails[f] for f in b.tails])
+            cols.append([tails[f] for f in b.column("tails")])
             tmpl += f',\n{p2}"tail": %s'
         if b.pair_tails is not None:
-            cols.append([tails[f] for f in b.pair_tails])
+            cols.append([tails[f] for f in b.column("pair_tails")])
             tmpl += f',\n{p2}"pair_tail": %s'
         tmpl += f"\n{p1}}}"
         lines += [tmpl % fields for fields in zip(*cols)]
@@ -329,7 +332,8 @@ def _load_input(path: str):
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+        raise UsageError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
     except RecursionError:
         raise UsageError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):

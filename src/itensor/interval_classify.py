@@ -24,20 +24,25 @@ group per condition id and row (or row pair), the form the CLI writes by
 default (as ``Ledger.summary_view()``, the same groups as tuples).  Rows
 and trailing indices in records and witnesses are 1-based.
 
-Memory: each kernel block is a grid, groups of one row or row pair that
-hold one record, or one per off-diagonal position (or position pair).  A
-verdict's ledger holds only its lhs, rhs and passed columns; the index
-columns are ``_IndexColumn``s, derived on access from the group rows and
-the shape's off-diagonal offsets, so the per-shape caches (``_layout``,
-``_pair_layout``) hold O(n**2 + n*q) integers and nothing per record.  The
-kernel's sums over (n, q, q)-sized terms, and the summary's reduction of
-each block by its groups, run in slices of at most ``CHUNK_ENTRIES``
-entries.  The CLI's ``--ledger full`` report is still built whole in
-memory, as one string.
+Grids: each block keeps the shape its condition has (``LedgerBlock``), its
+records in row-major order: (n,) per row for a and b2, (pairs,) per row
+pair for c3, (n, q) per row and off-diagonal position for b1 and the
+interval-B b, (pairs, q, q) per row pair and position pair for c1 and
+(ordered pairs, q) for c2.  The first axis is the summary's groups.
+
+Memory: a verdict's ledger holds only its lhs, rhs and passed columns.  Its
+index columns are read-only arrays that broadcast to the grid, such as
+``arange(n)[:, None]`` for the rows of an (n, q) grid, kept in per-shape
+caches (``_layout``, ``_pair_layout``) that hold the pair grids' O(n**2 * q)
+tail offsets and nothing per record.  The kernel's sums over (n, q, q)-sized
+terms, and the summary's reduction of each block by its groups, run in
+slices of at most ``CHUNK_ENTRIES`` entries.  The CLI's ``--ledger full``
+report is still built whole in memory, as one string.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -116,11 +121,16 @@ class ConditionRecord:
 class LedgerBlock(NamedTuple):
     """A run of records sharing one condition id, stored as columns.
 
+    ``lhs``, ``rhs`` and ``passed`` are lists, or numpy arrays of one shape,
+    the block's grid (``shape``).  Records run in row-major order over the
+    grid; when ``rows`` (and ``pair_rows``) vary along its first axis only,
+    the summary reduces the grid along that axis, one group per index.
     ``rows``/``pair_rows`` hold 0-based row indices and ``tails``/
     ``pair_tails`` flat offsets inside a row; records convert both to the
-    1-based form.  Columns are lists, numpy arrays or a grid block's
-    ``_IndexColumn``s, of one length; an optional column is None when the
-    condition binds one row or no position.
+    1-based form.  An index column is a numpy array that broadcasts to the
+    grid (for an (n, q) grid, ``rows = arange(n)[:, None]`` and ``tails``
+    the (n, q) offsets) or a list with one value per record; an optional
+    column is None when the condition binds one row or no position.
     """
 
     condition: str
@@ -132,21 +142,82 @@ class LedgerBlock(NamedTuple):
     tails: Sequence[int] | None = None
     pair_tails: Sequence[int] | None = None
 
-    def values(self) -> tuple[list, list, list]:
-        """The lhs, rhs and passed columns as lists of Python scalars."""
-        return tuple(
-            c.tolist() if isinstance(c, np.ndarray) else c
-            for c in (self.lhs, self.rhs, self.passed)
-        )
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The grid: ``lhs.shape``, or (records,) for a list block."""
+        lhs = self.lhs
+        return lhs.shape if isinstance(lhs, np.ndarray) else (len(lhs),)
+
+    def column(self, name: str) -> list | None:
+        """Column ``name`` with one value per record, in record order: a
+        list as it is, an array broadcast to the grid as a list of Python
+        scalars, None for a missing index column."""
+        return _list(getattr(self, name), self.shape)
 
 
-def _value(col, k: int):
-    v = col[k]
-    return v.item() if isinstance(v, np.generic) else v
+def _grid(col: np.ndarray, shape: tuple) -> np.ndarray:
+    """Array ``col`` broadcast to the grid ``shape``, as a new array: filling
+    an empty grid broadcasts in one C call, a fraction of the fixed cost of
+    np.broadcast_to."""
+    full = np.empty(shape, dtype=col.dtype)
+    full[...] = col
+    return full
+
+
+def _list(col, shape: tuple):
+    """Column ``col`` with one value per record: an array broadcast to the
+    grid ``shape`` as a flat list of Python scalars, anything else as it
+    is."""
+    if not isinstance(col, np.ndarray):
+        return col
+    return (col if col.shape == shape else _grid(col, shape)).ravel().tolist()
+
+
+def _at(col, k: int, shape: tuple):
+    """Record ``k`` of column ``col`` over a grid of ``shape``, as a Python
+    scalar: an array is read at k's grid index, each axis wrapped to the
+    array's extent, so an axis it broadcasts along reads 0."""
+    if not isinstance(col, np.ndarray):
+        v = col[k]
+        return v.item() if isinstance(v, np.generic) else v
+    if col.shape == shape:
+        return col.item(k)
+    at = []
+    for d, w in zip(shape[::-1], col.shape[::-1]):
+        k, i = divmod(k, d)
+        at.append(i % w)
+    return col.item(tuple(at[::-1]))
+
+
+def _per_group(col, shape: tuple) -> bool:
+    """Whether index column ``col`` is an array with one value per index of
+    the grid's first axis: extent 1 on every other axis of ``shape``."""
+    if not isinstance(col, np.ndarray):
+        return False
+    return col.size == (col.shape[0] if col.ndim == len(shape) else 1)
+
+
+def _firsts(col: np.ndarray, shape: tuple) -> list:
+    """The values of a ``_per_group`` column, one per group."""
+    firsts = col.reshape(-1).tolist()
+    return firsts if len(firsts) == shape[0] else firsts * shape[0]
+
+
+def _gather(col, idx: np.ndarray, shape: tuple) -> list:
+    """Records ``idx`` (flat) of column ``col`` over a grid of ``shape``, as
+    Python scalars.  An array is read at each record's grid index, 0 on the
+    axes it broadcasts along."""
+    if not isinstance(col, np.ndarray):
+        return [_at(col, k, shape) for k in idx.tolist()]
+    if col.shape == shape:
+        return col.take(idx).tolist()
+    at = np.unravel_index(idx, shape)[len(shape) - col.ndim:]
+    out = col[tuple([a if w > 1 else 0 for a, w in zip(at, col.shape)])]
+    return out.tolist() if out.ndim else [out.item()] * len(idx)
 
 
 # Ledgers up to this many records are summarized record by record in
-# Python, longer ones run by run in numpy, whose fixed cost of some 15
+# Python, longer ones group by group in numpy, whose fixed cost of some 15
 # array calls per block exceeds a short ledger's whole loop.
 SMALL_LEDGER = 256
 
@@ -169,7 +240,8 @@ class Ledger(Sequence):
         self._ends: list[int] = []
         total = 0
         for b in self.blocks:
-            total += len(b.lhs)
+            lhs = b.lhs
+            total += lhs.size if isinstance(lhs, np.ndarray) else len(lhs)
             self._ends.append(total)
 
     def __len__(self) -> int:
@@ -188,23 +260,17 @@ class Ledger(Sequence):
 
     def __iter__(self):
         for b in self.blocks:
-            size = len(b.lhs)
             if b.pair_rows is None:
-                rows = [(i + 1,) for i in _ints(b.rows)]
+                rows = [(i + 1,) for i in b.column("rows")]
             else:
-                pairs = zip(_ints(b.rows), _ints(b.pair_rows))
+                pairs = zip(b.column("rows"), b.column("pair_rows"))
                 rows = [(i + 1, j + 1) for i, j in pairs]
-            tail = (
-                repeat(None, size)
-                if b.tails is None
-                else [tail1(self, f) for f in b.tails]
+            tail, pair_tail = (
+                repeat(None) if col is None else [tail1(self, f) for f in col]
+                for col in (b.column("tails"), b.column("pair_tails"))
             )
-            pair_tail = (
-                repeat(None, size)
-                if b.pair_tails is None
-                else [tail1(self, f) for f in b.pair_tails]
-            )
-            for fields in zip(rows, *b.values(), tail, pair_tail):
+            values = map(b.column, ("lhs", "rhs", "passed"))
+            for fields in zip(rows, *values, tail, pair_tail):
                 yield ConditionRecord(b.condition, *fields)
 
     def __eq__(self, other):
@@ -227,40 +293,41 @@ class Ledger(Sequence):
     def _ids(self) -> list[list]:
         """The condition ids as [id, record count] runs."""
         runs: list[list] = []
-        for b in self.blocks:
-            size = len(b.lhs)
+        for b, lo, hi in zip(self.blocks, [0, *self._ends], self._ends):
             if runs and runs[-1][0] == b.condition:
-                runs[-1][1] += size
-            elif size:
-                runs.append([b.condition, size])
+                runs[-1][1] += hi - lo
+            elif hi > lo:
+                runs.append([b.condition, hi - lo])
         return runs
 
     def _column(self, name: str, dtype=np.intp) -> np.ndarray:
-        """Column ``name`` of every block as one array; a missing index
+        """Column ``name`` of every block as one flat array; a missing index
         column (None) reads -1, which no 0-based row or offset takes."""
         parts = []
         for b in self.blocks:
             col = getattr(b, name)
             if col is None:
-                col = np.full(len(b.lhs), -1, dtype=dtype)
-            parts.append(np.asarray(col, dtype=dtype))
+                col = np.full(math.prod(b.shape), -1, dtype=dtype)
+            elif isinstance(col, np.ndarray) and col.shape != b.shape:
+                col = _grid(col, b.shape)
+            parts.append(np.asarray(col, dtype=dtype).reshape(-1))
         return np.concatenate(parts)
 
     def __hash__(self):
         return hash(tuple(self))
 
     def _record(self, b: LedgerBlock, k: int) -> ConditionRecord:
-        rows = (_value(b.rows, k) + 1,)
-        if b.pair_rows is not None:
-            rows += (_value(b.pair_rows, k) + 1,)
+        shape = b.shape
+        row, lhs, rhs, passed, pair, tail, pair_tail = (
+            None if c is None else _at(c, k, shape) for c in b[1:])
         return ConditionRecord(
             b.condition,
-            rows,
-            _value(b.lhs, k),
-            _value(b.rhs, k),
-            _value(b.passed, k),
-            None if b.tails is None else tail1(self, b.tails[k]),
-            None if b.pair_tails is None else tail1(self, b.pair_tails[k]),
+            (row + 1,) if pair is None else (row + 1, pair + 1),
+            lhs,
+            rhs,
+            passed,
+            None if tail is None else tail1(self, tail),
+            None if pair_tail is None else tail1(self, pair_tail),
         )
 
     def dicts(self) -> LedgerDicts:
@@ -268,13 +335,17 @@ class Ledger(Sequence):
         return LedgerDicts(self)
 
     def first_failure(self) -> ConditionRecord | None:
-        """The first record whose inequality failed, in ledger order."""
+        """The first record whose inequality failed, in ledger order: in a
+        block of arrays the first False of ``passed`` in row-major order."""
         for b in self.blocks:
-            if isinstance(b.passed, np.ndarray):
-                if not b.passed.all():
-                    return self._record(b, int(b.passed.argmin()))
-            elif False in b.passed:
-                return self._record(b, b.passed.index(False))
+            passed = b.passed
+            if isinstance(passed, np.ndarray):
+                if passed.size:
+                    k = int(passed.argmin())  # the first False, else 0
+                    if not passed.item(k):
+                        return self._record(b, k)
+            elif False in passed:
+                return self._record(b, passed.index(False))
         return None
 
     def summary(self) -> list[dict]:
@@ -301,23 +372,25 @@ class Ledger(Sequence):
         """The summary groups in first-occurrence order, as in
         ``LedgerSummary.groups``.
 
-        Each block is reduced by its runs of consecutive records with one
-        (row, pair row).  Runs of one length are reduced in numpy as a
-        (runs, length) view (``_runs``); a ledger of at most
-        ``SMALL_LEDGER`` records, a block of one record per run and a block
-        of runs of mixed lengths go record by record.  A key that comes back
-        in a later run or block adds to its first group: a later tightest
-        record wins only with a smaller difference (or when every earlier
-        one was NaN), and the earliest failure stays.
+        A block of two or more axes whose rows (and pair rows) are arrays of
+        one value per first index is reduced in numpy by its first axis, one
+        group per first index (``_runs``); a ledger of at most
+        ``SMALL_LEDGER`` records, and every other block, go record by
+        record.  A key that comes back in a later group or block adds to its
+        first group: a later tightest record wins only with a smaller
+        difference (or when every earlier one was NaN), and the earliest
+        failure stays.
         """
         small = len(self) <= SMALL_LEDGER
         # (id, row, pair) -> [evaluated, failed, tightest, its lhs - rhs
         # (NaN while every difference is NaN), first failure]
         groups: dict[tuple, list] = {}
         for b in self.blocks:
-            run = 1 if small else _run_length(b)
+            shape = b.shape
+            grid = not small and len(shape) > 1 and 0 not in shape and all(
+                c is None or _per_group(c, shape) for c in (b.rows, b.pair_rows))
             for row, pair, count, failed, d, tight, first in (
-                _runs(b, run) if run > 1 else _record_runs(b)
+                _runs(b, shape) if grid else _record_runs(b, shape)
             ):
                 g = groups.get((b.condition, row, pair))
                 if g is None:
@@ -335,87 +408,52 @@ class Ledger(Sequence):
         ]
 
 
-def _ints(col) -> Sequence[int]:
-    return col.tolist() if isinstance(col, np.ndarray) else col
-
-
-def _records_at(b: LedgerBlock, idx: list) -> list[tuple]:
-    """Records ``idx`` of block ``b`` as (lhs, rhs, flat tail or None, flat
-    pair tail or None), values as Python scalars (``_value``)."""
-    return list(zip(*(
-        repeat(None) if c is None
-        else c[idx].tolist() if isinstance(c, np.ndarray)
-        else c.take(idx) if isinstance(c, _IndexColumn)
-        else [_value(c, k) for k in idx]
-        for c in (b.lhs, b.rhs, b.tails, b.pair_tails)
-    )))
-
-
-def _run_length(b: LedgerBlock) -> int:
-    """The common length of the runs of one (row, pair row) in block ``b``,
-    0 when they differ: a grid block's group size (``_IndexColumn.per``);
-    other blocks are cut where a row changes."""
-    run = getattr(b.rows, "per", 0)
-    if run and getattr(b.pair_rows, "per", run) == run:
-        return run
-    size = len(b.lhs)
-    if size < 2:
-        return size
-    change = np.zeros(size - 1, dtype=bool)
-    for col in (b.rows, b.pair_rows):
-        if col is not None:
-            key = np.asarray(col)
-            change |= key[1:] != key[:-1]
-    cuts = np.flatnonzero(change) + 1
-    if not len(cuts):
-        return size
-    run = int(cuts[0])
-    uniform = size % run == 0 and np.array_equal(cuts, np.arange(run, size, run))
-    return run if uniform else 0
-
-
-def _record_runs(b: LedgerBlock):
-    """The runs of ``_runs``, one per record."""
-    lhs, rhs, passed = b.values()
-    pairs = repeat(-1) if b.pair_rows is None else _ints(b.pair_rows)
-    tails, pair_tails = (
-        repeat(None) if c is None else _ints(c) for c in (b.tails, b.pair_tails))
+def _record_runs(b: LedgerBlock, shape: tuple):
+    """The groups of ``_runs``, one per record."""
+    rows, lhs, rhs, passed, pairs, tails, pair_tails = [_list(c, shape) for c in b[1:]]
     for row, pair, x, y, ok, t, pt in zip(
-        _ints(b.rows), pairs, lhs, rhs, passed, tails, pair_tails
+        rows, pairs or repeat(-1), lhs, rhs, passed, tails or repeat(None),
+        pair_tails or repeat(None)
     ):
         side = (x, y, t, pt)
         yield row, pair, 1, 0 if ok else 1, x - y, side, None if ok else side
 
 
-def _runs(b: LedgerBlock, run: int) -> list[tuple]:
-    """Block ``b`` as its runs of ``run`` records with one (row, pair row):
-    per run its row, pair row (-1 when none), records, failed records, the
+def _runs(b: LedgerBlock, shape: tuple) -> list[tuple]:
+    """Grid block ``b`` as its groups, one per index of the first axis: per
+    group its row, pair row (-1 when none), records, failed records, the
     least lhs - rhs (NaN when every difference is NaN), the tightest record
-    (the first at that least, else the run's first) and the first failing
-    record (None when none), each record as in ``_records_at``.  The runs
-    are reduced ``CHUNK_ENTRIES`` records at a time, so no temporary spans
-    the block."""
-    rows = _ints(b.rows[::run])
-    pairs = repeat(-1) if b.pair_rows is None else _ints(b.pair_rows[::run])
+    (the first at that least, else the group's first) and the first failing
+    record (None when none), each record as (lhs, rhs, flat tail or None,
+    flat pair tail or None).  The groups are reduced ``CHUNK_ENTRIES``
+    records at a time, so no temporary spans the block."""
+    run = math.prod(shape[1:])
+    starts = np.arange(0, shape[0] * run, run)
+    rows = _firsts(b.rows, shape)
+    pairs = repeat(-1) if b.pair_rows is None else _firsts(b.pair_rows, shape)
     lhs, rhs = (np.asarray(c, dtype=float).reshape(-1, run) for c in (b.lhs, b.rhs))
     least, idx = [], []
     step = max(1, CHUNK_ENTRIES // run)
     for lo in range(0, len(lhs), step):
         diff = lhs[lo:lo + step] - rhs[lo:lo + step]
-        # fmin skips NaN: a run's least is NaN only when all of it is, and
-        # NaN equals nothing, so such a run reports its first record.
+        # fmin skips NaN: a group's least is NaN only when all of it is, and
+        # NaN equals nothing, so such a group reports its first record.
         low = np.fmin.reduce(diff, axis=1)
         least += low.tolist()
-        idx += (diff == low[:, None]).argmax(axis=1).tolist()
-    starts = range(0, len(b.lhs), run)
-    idx = [k + r for k, r in zip(idx, starts)]
+        idx.append((diff == low[:, None]).argmax(axis=1))
+        del diff  # freed before the next slice is subtracted
+    idx = [np.concatenate(idx) + starts]
     passed = np.asarray(b.passed, dtype=bool).reshape(-1, run)
     failed = repeat(0)
     if not passed.all():
-        failed = (run - passed.sum(axis=1)).tolist()
-        idx += [k + r for k, r, f in zip(
-            passed.argmin(axis=1).tolist(), starts, failed) if f]
-    sides = _records_at(b, idx)
+        count = run - passed.sum(axis=1)
+        failed = count.tolist()
+        idx.append((passed.argmin(axis=1) + starts)[count > 0])
+    idx = np.concatenate(idx)
+    sides = list(zip(*(
+        repeat(None) if c is None else _gather(c, idx, shape)
+        for c in (b.lhs, b.rhs, b.tails, b.pair_tails)
+    )))
     first = iter(sides[len(least):])
     return [
         (row, pair, run, f, d, side, next(first) if f else None)
@@ -533,68 +571,13 @@ class NecessaryReport:
     member_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
-class _IndexColumn(Sequence):
-    """An index column of a grid block, derived on access from the group
-    rows: ``len(groups)`` groups of ``per`` records, record k at offset
-    j = k % per of group k // per, reading ``table[row][j // step % w]``
-    for the group's row and w the width of the table's rows.
-
-    A row column's table holds each row itself, [i], with step ``per``.  A
-    tail column's holds each row's off-diagonal offsets
-    (``row_layout(...).od``): b1 and c2 tails step 1, c1 tails step q, c1
-    pair tails step 1, the row repeated q times.  A record is read with
-    integer arithmetic on these lists; the column as a list (iteration) or
-    an integer array (``__array__``) is built only when asked for.
-    """
-
-    __slots__ = ("groups", "per", "table", "step")
-
-    def __init__(self, groups: list, per: int, table: list, step: int = 1):
-        self.groups, self.per, self.table, self.step = groups, per, table, step
-
-    def __len__(self) -> int:
-        return len(self.groups) * self.per
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return self.take(range(*k.indices(len(self))))
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("index column index out of range")
-        values = self.table[self.groups[k // self.per]]
-        return values[k % self.per // self.step % len(values)]
-
-    def take(self, idx) -> list:
-        """Records ``idx`` (each in range) as a list of ints."""
-        per, step, groups, table = self.per, self.step, self.groups, self.table
-        w = len(table[0])
-        return [table[groups[k // per]][k % per // step % w] for k in idx]
-
-    def __iter__(self):
-        table, step = self.table, self.step
-        if step > 1:  # per == step * w: each entry repeated step times
-            return iter([v for g in self.groups for v in table[g] for _ in range(step)])
-        copies = self.per // len(table[0]) if self.per else 0
-        return iter([v for g in self.groups for v in table[g] * copies])
-
-    def __array__(self, dtype=None, copy=None):
-        if not len(self):
-            return np.zeros(0, dtype=dtype or np.intp)
-        base = np.asarray(self.table, dtype=np.intp)[self.groups]
-        g, w = base.shape
-        shape = (g, self.per // (w * self.step), w, self.step)
-        col = np.broadcast_to(base[:, None, :, None], shape).reshape(-1)
-        return col if dtype is None else col.astype(dtype, copy=False)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
 # The most entries a kernel or summary temporary holds: larger quantities
-# are built in slices of rows (or runs) of at most this many entries, at
+# are built in slices of rows (or groups) of at most this many entries, at
 # least one row each, so memory stays bounded at large n**(m-1).
 CHUNK_ENTRIES = 1 << 18
 
@@ -612,10 +595,10 @@ def _by_rows(n: int, per_row: int, part) -> np.ndarray:
 
 class _Layout(NamedTuple):
     """The tables of one (order, dim): index columns as LedgerBlock keywords
-    (``_IndexColumn``s of 0-based rows and flat tails)."""
+    (read-only arrays of 0-based rows and flat tails)."""
 
-    row: dict  # one record per row
-    position: dict  # one record per off-diagonal position
+    row: dict  # the (n,) grid, one record per row
+    position: dict  # the (n, q) grid, one record per off-diagonal position
     zeros: np.ndarray  # (n,) the right side 0.0 of the row-sum conditions
     drop: np.ndarray  # (n * q,) flat offset of [i, k, od[i, k]] in (n, q, r)
 
@@ -623,11 +606,10 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=32)
 def _layout(order: int, dim: int) -> _Layout:
     od = row_layout(order, dim).od
-    q, rows, single = od.shape[1], list(range(dim)), [[i] for i in range(dim)]
+    q, rows = od.shape[1], _frozen(np.arange(dim))
     return _Layout(
-        {"rows": _IndexColumn(rows, 1, single)},
-        {"rows": _IndexColumn(rows, q, single, q),
-         "tails": _IndexColumn(rows, q, od.tolist())},
+        {"rows": rows},
+        {"rows": rows[:, None], "tails": od},
         _frozen(np.zeros(dim)),
         _frozen(np.arange(dim * q) * (q + 1) + od.ravel()),
     )
@@ -635,23 +617,17 @@ def _layout(order: int, dim: int) -> _Layout:
 
 @lru_cache(maxsize=32)
 def _pair_layout(order: int, dim: int) -> tuple[dict, dict, dict]:
-    """The c1, c2 and c3 index columns of the double-B ledger: the row
-    pairs as lists, with ``_layout``'s tables."""
+    """The index columns of the double-B pair grids: c1 (pairs, q, q), c2
+    (ordered pairs, q) and c3 (pairs,); the c1 and c2 tails hold O(n**2 * q)
+    offsets."""
     lay = row_layout(order, dim)
-    q = lay.od.shape[1]
-    position = _layout(order, dim).position
-    single, tails = position["rows"].table, position["tails"].table
-    iu, ju, ii, jj = (x.tolist() for x in (lay.iu, lay.ju, lay.ii, lay.jj))
+    od, iu, ju, ii, jj = lay.od, lay.iu, lay.ju, lay.ii, lay.jj
     return (
-        {"rows": _IndexColumn(iu, q * q, single, q * q),
-         "pair_rows": _IndexColumn(ju, q * q, single, q * q),
-         "tails": _IndexColumn(iu, q * q, tails, q),
-         "pair_tails": _IndexColumn(ju, q * q, tails)},
-        {"rows": _IndexColumn(ii, q, single, q),
-         "pair_rows": _IndexColumn(jj, q, single, q),
-         "tails": _IndexColumn(ii, q, tails)},
-        {"rows": _IndexColumn(iu, 1, single),
-         "pair_rows": _IndexColumn(ju, 1, single)},
+        {"rows": iu[:, None, None], "pair_rows": ju[:, None, None],
+         "tails": _frozen(od[iu][:, :, None]),
+         "pair_tails": _frozen(od[ju][:, None, :])},
+        {"rows": ii[:, None], "pair_rows": jj[:, None], "tails": _frozen(od[ii])},
+        {"rows": iu, "pair_rows": ju},
     )
 
 
@@ -756,7 +732,7 @@ def _block(condition, lhs, rhs, tol, strict=True, **index) -> LedgerBlock:
 
 
 def _ledger(AI: IntervalTensor, blocks) -> Ledger:
-    return Ledger([b for b in blocks if len(b.lhs)], AI.order, AI.dim)
+    return Ledger([b for b in blocks if math.prod(b.shape)], AI.order, AI.dim)
 
 
 def _verdict(method: str, ledger: Ledger) -> Verdict:
@@ -772,8 +748,8 @@ def _verdict(method: str, ledger: Ledger) -> Verdict:
 def _interval_b_blocks(k: _RowKernel, method: str, tol: float) -> tuple:
     lay, q = k.lay, k.uod.shape[1]
     if method == "compact" and q:
-        rhs = _pos(q * k.uod + k.lod).ravel()
-        return (_block("b", np.repeat(k.total, q), rhs, tol, **lay.position),)
+        lhs = np.repeat(k.total[:, None], q, axis=1)
+        return (_block("b", lhs, _pos(q * k.uod + k.lod), tol, **lay.position),)
     total = _block("a", k.total, lay.zeros, tol, **lay.row)
     if method == "compact":
         return (total,)
@@ -783,7 +759,7 @@ def _interval_b_blocks(k: _RowKernel, method: str, tol: float) -> tuple:
         lhs, rhs = k.ldiag[:, None] - k.lod, k.slack
     else:  # pairwise
         lhs, rhs = k.gap, k.excl
-    return total, _block("b", lhs.ravel(), rhs.ravel(), tol, **lay.position)
+    return total, _block("b", lhs, rhs, tol, **lay.position)
 
 
 @_ieee
@@ -827,10 +803,11 @@ def interval_b_necessary(AI: IntervalTensor, tol: float = 0.0) -> NecessaryRepor
     k = _kernel(AI)
     lay, ldiag, lod = k.lay, k.ldiag, k.lod
     neg = _ordered_sum(np.where(lod < 0.0, -lod, 0.0))
-    magnitude = np.maximum(np.abs(k.uod), np.abs(lod)).ravel()
+    magnitude = np.maximum(np.abs(k.uod), np.abs(lod))
     ledger = _ledger(AI, (
         _block("a", ldiag, neg, tol, **lay.row),
-        _block("b", np.repeat(ldiag, lod.shape[1]), magnitude, tol, **lay.position),
+        _block("b", np.repeat(ldiag[:, None], lod.shape[1], axis=1), magnitude, tol,
+               **lay.position),
         _block("r", ldiag, k.upos, tol, **lay.row),
     ))
     passed = ledger.first_failure() is None
@@ -872,14 +849,14 @@ def check_interval_double_b(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     c1 = np.empty((2, len(iu), q, q))
     np.multiply(gap[iu][:, :, None], gap[ju][:, None, :], out=c1[0])
     np.multiply(b1_rhs[iu][:, :, None], b1_rhs[ju][:, None, :], out=c1[1])
-    c2_lhs = (gap[ii] * ldiag[jj][:, None]).ravel()
-    c2_rhs = (b1_rhs[ii] * negsum[jj][:, None]).ravel()
+    c2_lhs = gap[ii] * ldiag[jj][:, None]
+    c2_rhs = b1_rhs[ii] * negsum[jj][:, None]
     c1_index, c2_index, c3_index = _pair_layout(AI.order, AI.dim)
     blocks = (
         _block("a", ldiag, k.upos, tol, **k.lay.row),
-        _block("b1", gap.ravel(), b1_rhs.ravel(), tol, False, **k.lay.position),
+        _block("b1", gap, b1_rhs, tol, False, **k.lay.position),
         _block("b2", ldiag, negsum, tol, False, **k.lay.row),
-        _block("c1", *c1.reshape(2, -1), tol, **c1_index),
+        _block("c1", *c1, tol, **c1_index),
         _block("c2", c2_lhs, c2_rhs, tol, **c2_index),
         _block("c3", ldiag[iu] * ldiag[ju], negsum[iu] * negsum[ju], tol, **c3_index),
     )
@@ -901,7 +878,7 @@ def classify_interval_double_b_dichotomy(
     if not check_interval_double_b(AI, tol=tol).holds():
         return IntervalDichotomy("not_double_b")
     total, pairwise = _interval_b_blocks(_kernel(AI), "pairwise", tol)
-    slack_ok = pairwise.passed.reshape(AI.dim, -1)
+    slack_ok = pairwise.passed
     failing = np.flatnonzero(~total.passed | ~slack_ok.all(axis=1)).tolist()
     if not failing:
         return IntervalDichotomy("interval_b")
@@ -996,11 +973,13 @@ def check_interval_double_b_dominance(AI: IntervalTensor, tol: float = 0.0) -> V
         return Verdict(Status.INCONCLUSIVE, method)
     k = _kernel(AI)
     lod, uod = k.lod, k.uod
-    n, q = lod.shape
-    # covers[i, k, t]: position t's upper bound is at or below k's lower bound.
-    covers = uod[:, None, :] <= lod[:, :, None]
-    covers.reshape(n, q * q)[:, :: q + 1] = True
-    dominated = covers.all(axis=2).any(axis=1)
+    # Position k dominates row i when lod[i, k] >= uod[i, t] for every t != k:
+    # >= the row's largest upper bound, or where k holds it, >= the second
+    # largest (the same number when the largest is tied).  Bounds are finite
+    # (make_tensor), so the largest is never NaN.
+    top = np.sort(uod, axis=1)[:, -2:]
+    bound = np.where(uod == top[:, 1:], top[:, :1], top[:, 1:])
+    dominated = (lod >= bound).any(axis=1)
     if not dominated.all():
         # Best candidate is the largest lower entry; report the upper bound
         # elsewhere in the row that blocks it.
@@ -1065,11 +1044,10 @@ def check_interval_circulant(AI: IntervalTensor, tol: float = 0.0) -> Verdict:
     if not (is_circulant(AI.lower) and is_circulant(AI.upper)):
         raise ValueError("interval bounds are not circulant")
     k = _kernel(AI)
-    q = k.lod.shape[1]
-    tails = k.lay.position["tails"][:q]
+    first = {name: col[:1] for name, col in k.lay.position.items()}
     blocks = (
-        _block("c1", k.ldiag[:1], k.negl[:1], tol, rows=(0,)),
-        _block("c2", k.gap[0], k.excl[0], tol, rows=(0,) * q, tails=tails),
+        _block("c1", k.ldiag[:1], k.negl[:1], tol, rows=k.lay.row["rows"][:1]),
+        _block("c2", k.gap[:1], k.excl[:1], tol, **first),
     )
     return _verdict("interval_circulant", _ledger(AI, blocks))
 

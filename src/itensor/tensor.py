@@ -119,7 +119,8 @@ class Tensor:
     __hash__ = None  # mutable-adjacent storage; identity hashing would mislead
 
     def __repr__(self) -> str:
-        return f"Tensor(order={self.order}, dim={self.dim}, entries={self.entries.tolist()!r})"
+        return (f"Tensor(order={self.order}, dim={self.dim}, "
+                f"entries={self.entries.tolist()!r})")
 
 
 def make_tensor(order: int, dim: int, entries: Sequence[float] | np.ndarray) -> Tensor:
@@ -341,9 +342,11 @@ def tensor_apply_many(A: Tensor, X: np.ndarray, *, power: np.ndarray | None = No
     One matrix product: the entries viewed as (n, n**(m-1)) rows times the
     transposed Kronecker power of X (``kron_power_t``); the result is a
     (count, dim) view of that (dim, count) product.  A caller that keeps
-    the power of X passes it as ``power``, and it is multiplied as given.  Products associate and sums accumulate
-    differently from tensor_apply; callers needing the canonical value must
-    recheck borderline results with tensor_apply.
+    the power of X passes it as ``power``, and it is multiplied as given.
+
+    Products associate and sums accumulate differently from tensor_apply;
+    callers needing the canonical value must recheck borderline results
+    with tensor_apply.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != A.dim:

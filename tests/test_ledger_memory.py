@@ -1,16 +1,21 @@
 """Memory of the interval criteria, measured with tracemalloc.
 
 A ledger holds its lhs, rhs and passed columns, 17 bytes per record; its
-index columns are derived from per-shape tables of O(n**2 + n*q) integers,
-and the row kernel builds its (n, q, q)-sized sums in row slices of at most
-``CHUNK_ENTRIES`` entries.  The per-shape caches are cleared first, so each
+index columns are per-shape arrays that broadcast to each block's grid,
+O(n**2 * q) integers for the pair grids, and the row kernel builds its
+(n, q, q)-sized sums in row slices of at most ``CHUNK_ENTRIES`` entries.  The per-shape caches are cleared first, so each
 measurement includes building them and does not depend on test order.
 """
 
 import gc
 import tracemalloc
 
-from itensor import boundary_interval, check_interval_b, check_interval_double_b
+from itensor import (
+    boundary_interval,
+    check_interval_b,
+    check_interval_double_b,
+    check_interval_double_b_dominance,
+)
 from itensor import interval_classify, tensor
 
 RECORD_BYTES = 8 + 8 + 1  # lhs, rhs, passed
@@ -18,7 +23,7 @@ RECORD_BYTES = 8 + 8 + 1  # lhs, rhs, passed
 
 def _traced(call, *args):
     """(bytes still allocated once the result is dropped, peak bytes, the
-    result's ledger length) of ``call(*args)`` plus its summary."""
+    result's ledger length) of ``call(*args)`` plus its summary, if any."""
     for cache in (interval_classify._layout, interval_classify._pair_layout,
                   tensor.row_layout, tensor._one_based_tails):
         cache.cache_clear()
@@ -27,7 +32,8 @@ def _traced(call, *args):
     try:
         verdict = call(*args)
         records = len(verdict.conditions)
-        verdict.conditions.summary_view()
+        if records:
+            verdict.conditions.summary_view()
         del verdict
         gc.collect()
         kept, peak = tracemalloc.get_traced_memory()
@@ -57,3 +63,11 @@ def test_interval_b_peak_does_not_grow_with_n_q_r():
     assert peaks[256] < n * q * r  # less than one byte per term
     # n*q*r grows eightfold from n=128, the input and the ledger fourfold.
     assert peaks[256] < 4 * peaks[128]
+
+
+def test_dominance_peak_does_not_grow_with_n_q_q():
+    # Comparing every position pair of every row takes n*q*q bytes, 16.6M
+    # at m=2, n=256; each row's two largest upper bounds decide it in O(n*q).
+    AI = boundary_interval(2, 256)
+    _, peak, _ = _traced(check_interval_double_b_dominance, AI)
+    assert peak < 8 << 20

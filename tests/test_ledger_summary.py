@@ -32,7 +32,7 @@ from itensor import interval_classify
 from itensor.cli import dumps_report
 from itensor.interval import is_interval_z
 from itensor.interval_classify import INTERVAL_B_METHODS, Ledger, LedgerBlock
-from itensor.tensor import diag_tail_flat, is_circulant
+from itensor.tensor import diag_tail_flat, is_circulant, row_layout
 
 TOLS = (0.0, 1e-9, 0.5)
 
@@ -220,9 +220,9 @@ def test_summary_and_equality_build_no_record(monkeypatch):
 
 
 def _lists(b):
-    """Block ``b`` with every array column as a list of Python scalars."""
-    return LedgerBlock(b.condition, *(
-        c.tolist() if isinstance(c, np.ndarray) else c for c in b[1:]))
+    """Block ``b`` with every column as a list of Python scalars, one per
+    record: a grid flattened, its index columns broadcast to it."""
+    return LedgerBlock(b.condition, *map(b.column, LedgerBlock._fields[1:]))
 
 
 def _reblocked(ledger, step):
@@ -238,11 +238,11 @@ def _reblocked(ledger, step):
 
 
 def _flat(ledger, kind):
-    """The same records with every column a Python list or a numpy array,
-    as blocks are built by hand: no grid index column left."""
+    """The same records with every column a flat Python list or numpy array
+    of one value per record, as blocks are built by hand: no grid left."""
     make = list if kind == "lists" else np.array
     return Ledger([LedgerBlock(b.condition, *(None if c is None else make(c)
-                                              for c in b[1:]))
+                                              for c in _lists(b)[1:]))
                    for b in ledger.blocks], ledger.order, ledger.dim)
 
 
@@ -257,8 +257,7 @@ def test_grid_and_flat_blocks_agree(shape, tol):
     grids = 0
     for AI in families:
         for label, grid in ledgers(AI, tol):
-            grids += any(isinstance(b.rows, interval_classify._IndexColumn)
-                         for b in grid.blocks)
+            grids += any(np.ndim(b.lhs) > 1 for b in grid.blocks)
             full = dumps_report({"conditions": grid.dicts()})
             summary = dumps_report({"conditions": grid.summary_view()})
             for flat in (_flat(grid, "lists"), _flat(grid, "arrays")):
@@ -307,7 +306,7 @@ def test_equality_by_value():
     assert flipped == ledger and tuple(flipped) == tuple(ledger)
     for changed in (_with(ledger, 5, "lhs", ledger[5].lhs + 1.0),
                     _with(ledger, 5, "passed", not ledger[5].passed),
-                    _with(ledger, 5, "tails", int(ledger.blocks[1].tails[0]))):
+                    _with(ledger, 5, "tails", ledger.blocks[1].column("tails")[0])):
         assert changed != ledger and tuple(changed) != tuple(ledger)
     assert ledger != list(ledger)[:-1]
     assert Ledger((), 3, 3) == Ledger((), 3, 3) == ()
@@ -330,11 +329,11 @@ def test_dim_one_sides_are_floats(tol):
 
 
 def _reordered(b, rng, whole_runs):
-    """Block ``b`` with numpy-array columns (so no run length is known) and
+    """Block ``b`` as flat numpy-array columns (so no grid is known) with
     its records reordered: its runs of one (row, pair row) shuffled whole
     when ``whole_runs``, so rows run out of order in runs of one length,
     else record by record."""
-    cols = [None if c is None else np.array(c) for c in b[1:]]
+    cols = [None if c is None else np.array(c) for c in _lists(b)[1:]]
     rows, pair_rows = cols[0], cols[4]
     size = len(rows)
     order = rng.permutation(size)
@@ -361,7 +360,7 @@ def test_summary_merges_reordered_array_blocks(kind, whole_runs, small_ledger,
     reduced = []
     runs = interval_classify._runs
     monkeypatch.setattr(interval_classify, "_runs",
-                        lambda b, run: reduced.append(run) or runs(b, run))
+                        lambda b, shape: reduced.append(shape) or runs(b, shape))
     rng = np.random.default_rng(sorted(FAMILIES).index(kind))
     for AI in FAMILIES[kind]():
         exact = [ledger for _, ledger in ledgers(AI, 0.0)]
@@ -374,8 +373,6 @@ def test_summary_merges_reordered_array_blocks(kind, whole_runs, small_ledger,
             assert _canon(ledger.summary()) == want
     if small_ledger:
         assert not reduced  # every ledger went record by record
-    elif whole_runs:
-        assert reduced  # runs of one length went through the numpy pass
 
 
 @pytest.mark.parametrize("rows", [
@@ -394,3 +391,52 @@ def test_summary_cuts_array_runs(rows, monkeypatch):
                         tails=np.arange(size) % 3)
     ledger = Ledger([block, block._replace(lhs=lhs - 1.0)], 3, 3)
     assert _canon(ledger.summary()) == _canon(reference_summary(list(ledger)))
+
+
+def _by_record(b):
+    """Block ``b`` as lists of one value per record, read through numpy's own
+    broadcasting of each column to the grid of ``lhs``."""
+    shape = b.lhs.shape
+    return LedgerBlock(b.condition, *(
+        None if c is None else np.broadcast_to(c, shape).ravel().tolist()
+        for c in b[1:]))
+
+
+@pytest.mark.parametrize("tol", (0.0, 0.5))
+@pytest.mark.parametrize("small_ledger", (0, 1 << 30), ids=("groups", "records"))
+def test_hand_built_grid_blocks_read_as_their_records(tol, small_ledger, monkeypatch):
+    """The LedgerBlock contract: lhs, rhs and passed of one shape, records in
+    row-major order, index columns that broadcast to the grid, whether or
+    not the rows follow the first axis."""
+    monkeypatch.setattr(interval_classify, "SMALL_LEDGER", small_ledger)
+    order, dim = 3, 3
+    od = row_layout(order, dim).od
+    q = od.shape[1]
+    iu, ju = np.triu_indices(dim, 1)
+    rng = np.random.default_rng(5)
+
+    def sides(shape):
+        lhs, rhs = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], (2, *shape))
+        return lhs, rhs, lhs > rhs - tol
+
+    rows = LedgerBlock("b1", np.arange(dim)[:, None], *sides((dim, q)), tails=od)
+    pairs = LedgerBlock(
+        "c1", iu[:, None, None], *sides((len(iu), q, q)),
+        pair_rows=ju[:, None, None], tails=od[iu][:, :, None],
+        pair_tails=od[ju][:, None, :])
+    # Rows that change along the second axis: no group per first index.
+    mixed = LedgerBlock("b1", np.arange(dim * q).reshape(dim, q) % dim,
+                        *sides((dim, q)), tails=od)
+    for blocks in ([rows, pairs], [pairs], [pairs, rows, rows._replace(lhs=-rows.lhs)],
+                   [rows, mixed]):
+        grid = Ledger(blocks, order, dim)
+        flat = Ledger([_by_record(b) for b in blocks], order, dim)
+        assert len(grid) == len(flat) == sum(b.lhs.size for b in blocks)
+        assert grid == flat and flat == grid
+        assert list(grid) == list(flat)
+        assert grid.first_failure() == flat.first_failure() is not None
+        want = _canon(reference_summary(list(flat)))
+        assert _canon(grid.summary()) == _canon(flat.summary()) == want
+        for form in ("dicts", "summary_view"):
+            assert (dumps_report({"conditions": getattr(grid, form)()})
+                    == dumps_report({"conditions": getattr(flat, form)()}))
