@@ -138,11 +138,11 @@ def _scalar(x) -> str:
 
 
 def _finite_floats(values: list) -> bool:
-    """True when every value is a finite Python float, which ``%.17g``
-    writes as ``_scalar`` does.  A sum of finite doubles is finite unless it
-    overflows, which only sends the values down the slower, equally exact
-    per-value branch."""
-    return set(map(type, values)) <= {float} and math.isfinite(sum(values))
+    """True when every value of a list of ledger sides (Python floats) is
+    finite, which ``%.17g`` writes as ``_scalar`` does.  A sum of finite
+    doubles is finite unless it overflows, which only sends the values down
+    the slower, equally exact per-value branch."""
+    return math.isfinite(sum(values))
 
 
 def _list_text(items, pad: str, close: str) -> str:
@@ -460,6 +460,8 @@ def _run_interval(args, AI):
 
 
 def _run_check(args):
+    if args.method is not None and args.class_id not in ("b", "interval-b"):
+        raise UsageError(f"class {args.class_id} takes no --method")
     kind, data, digest = _load_input(args.input)
     if kind == "tensor":
         if args.class_id not in POINT_CLASSES:
@@ -585,13 +587,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "epsilon", 0.0) < 0.0:
+        epsilon = getattr(args, "epsilon", 0.0)
+        if not math.isfinite(epsilon):
+            raise UsageError(f"--epsilon must be finite, got {epsilon}")
+        if epsilon < 0.0:
             raise UsageError("--epsilon must be >= 0")
         envelope = {
             "tool": "itensor",
             "version": __version__,
             "verb": args.verb,
-            "epsilon": getattr(args, "epsilon", 0.0),
+            "epsilon": epsilon,
         }
 
         if args.verb == "check":

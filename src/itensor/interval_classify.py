@@ -28,7 +28,9 @@ Grids: each block keeps the shape its condition has (``LedgerBlock``), its
 records in row-major order: (n,) per row for a and b2, (pairs,) per row
 pair for c3, (n, q) per row and off-diagonal position for b1 and the
 interval-B b, (pairs, q, q) per row pair and position pair for c1 and
-(ordered pairs, q) for c2.  The first axis is the summary's groups.
+(ordered pairs, q) for c2.  The first axis is the summary's groups.  The
+grid is a block's only form: every column is a numpy array, hand-built
+blocks included, so no reader branches on a column's type.
 
 Memory: a verdict's ledger holds only its lhs, rhs and passed columns.  Its
 index columns are read-only arrays that broadcast to the grid, such as
@@ -47,7 +49,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import combinations, product, repeat
+from itertools import accumulate, combinations, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -119,39 +121,39 @@ class ConditionRecord:
 
 
 class LedgerBlock(NamedTuple):
-    """A run of records sharing one condition id, stored as columns.
+    """A run of records sharing one condition id, stored as numpy columns
+    over one grid (``shape``), its records in row-major order.
 
-    ``lhs``, ``rhs`` and ``passed`` are lists, or numpy arrays of one shape,
-    the block's grid (``shape``).  Records run in row-major order over the
-    grid; when ``rows`` (and ``pair_rows``) vary along its first axis only,
-    the summary reduces the grid along that axis, one group per index.
-    ``rows``/``pair_rows`` hold 0-based row indices and ``tails``/
-    ``pair_tails`` flat offsets inside a row; records convert both to the
-    1-based form.  An index column is a numpy array that broadcasts to the
+    ``lhs`` and ``rhs`` are float arrays and ``passed`` is a bool array, all
+    of the grid's shape.  ``rows`` and ``pair_rows`` are integer arrays of
+    0-based rows with one value per index of the grid's first axis: shape
+    (G,) or (G, 1, ...), as many axes as the grid.  The summary reduces the
+    grid along that axis, one group per index.  ``tails`` and ``pair_tails``
+    are integer arrays of flat offsets inside a row that broadcast to the
     grid (for an (n, q) grid, ``rows = arange(n)[:, None]`` and ``tails``
-    the (n, q) offsets) or a list with one value per record; an optional
-    column is None when the condition binds one row or no position.
+    the (n, q) offsets).  Records convert rows and tails to the 1-based
+    form.  An optional column is None when the condition binds one row or
+    no position.
     """
 
     condition: str
-    rows: Sequence[int]
-    lhs: Sequence[float]
-    rhs: Sequence[float]
-    passed: Sequence[bool]
-    pair_rows: Sequence[int] | None = None
-    tails: Sequence[int] | None = None
-    pair_tails: Sequence[int] | None = None
+    rows: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
+    pair_rows: np.ndarray | None = None
+    tails: np.ndarray | None = None
+    pair_tails: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """The grid: ``lhs.shape``, or (records,) for a list block."""
-        lhs = self.lhs
-        return lhs.shape if isinstance(lhs, np.ndarray) else (len(lhs),)
+        """The grid, ``lhs.shape``."""
+        return self.lhs.shape
 
     def column(self, name: str) -> list | None:
-        """Column ``name`` with one value per record, in record order: a
-        list as it is, an array broadcast to the grid as a list of Python
-        scalars, None for a missing index column."""
+        """Column ``name`` with one value per record, in record order: the
+        array broadcast to the grid as a list of Python scalars, None for a
+        missing index column."""
         return _list(getattr(self, name), self.shape)
 
 
@@ -164,22 +166,18 @@ def _grid(col: np.ndarray, shape: tuple) -> np.ndarray:
     return full
 
 
-def _list(col, shape: tuple):
-    """Column ``col`` with one value per record: an array broadcast to the
-    grid ``shape`` as a flat list of Python scalars, anything else as it
-    is."""
-    if not isinstance(col, np.ndarray):
-        return col
+def _list(col: np.ndarray | None, shape: tuple) -> list | None:
+    """Array ``col`` broadcast to the grid ``shape`` as a flat list of Python
+    scalars, one per record; None stays None."""
+    if col is None:
+        return None
     return (col if col.shape == shape else _grid(col, shape)).ravel().tolist()
 
 
-def _at(col, k: int, shape: tuple):
+def _at(col: np.ndarray, k: int, shape: tuple):
     """Record ``k`` of column ``col`` over a grid of ``shape``, as a Python
-    scalar: an array is read at k's grid index, each axis wrapped to the
+    scalar: the array is read at k's grid index, each axis wrapped to the
     array's extent, so an axis it broadcasts along reads 0."""
-    if not isinstance(col, np.ndarray):
-        v = col[k]
-        return v.item() if isinstance(v, np.generic) else v
     if col.shape == shape:
         return col.item(k)
     at = []
@@ -189,26 +187,10 @@ def _at(col, k: int, shape: tuple):
     return col.item(tuple(at[::-1]))
 
 
-def _per_group(col, shape: tuple) -> bool:
-    """Whether index column ``col`` is an array with one value per index of
-    the grid's first axis: extent 1 on every other axis of ``shape``."""
-    if not isinstance(col, np.ndarray):
-        return False
-    return col.size == (col.shape[0] if col.ndim == len(shape) else 1)
-
-
-def _firsts(col: np.ndarray, shape: tuple) -> list:
-    """The values of a ``_per_group`` column, one per group."""
-    firsts = col.reshape(-1).tolist()
-    return firsts if len(firsts) == shape[0] else firsts * shape[0]
-
-
-def _gather(col, idx: np.ndarray, shape: tuple) -> list:
+def _gather(col: np.ndarray, idx: np.ndarray, shape: tuple) -> list:
     """Records ``idx`` (flat) of column ``col`` over a grid of ``shape``, as
-    Python scalars.  An array is read at each record's grid index, 0 on the
-    axes it broadcasts along."""
-    if not isinstance(col, np.ndarray):
-        return [_at(col, k, shape) for k in idx.tolist()]
+    Python scalars: each record's grid index, 0 on the axes the array
+    broadcasts along."""
     if col.shape == shape:
         return col.take(idx).tolist()
     at = np.unravel_index(idx, shape)[len(shape) - col.ndim:]
@@ -221,11 +203,8 @@ def _gather(col, idx: np.ndarray, shape: tuple) -> list:
 # array calls per block exceeds a short ledger's whole loop.
 SMALL_LEDGER = 256
 
-# The columns that decide record equality, with their dtypes.
-_COLUMNS = (
-    ("rows", np.intp), ("pair_rows", np.intp), ("tails", np.intp),
-    ("pair_tails", np.intp), ("lhs", float), ("rhs", float), ("passed", bool),
-)
+# The columns that decide record equality.
+_COLUMNS = ("rows", "pair_rows", "tails", "pair_tails", "lhs", "rhs", "passed")
 
 
 class Ledger(Sequence):
@@ -237,12 +216,7 @@ class Ledger(Sequence):
         self.blocks = tuple(blocks)
         self.order = order
         self.dim = dim
-        self._ends: list[int] = []
-        total = 0
-        for b in self.blocks:
-            lhs = b.lhs
-            total += lhs.size if isinstance(lhs, np.ndarray) else len(lhs)
-            self._ends.append(total)
+        self._ends = list(accumulate(b.lhs.size for b in self.blocks))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -283,7 +257,7 @@ class Ledger(Sequence):
             if len(self) != len(other) or not len(self):
                 return len(self) == len(other)
             return self._ids() == other._ids() and all(
-                np.array_equal(self._column(*c), other._column(*c))
+                np.array_equal(self._column(c), other._column(c))
                 for c in _COLUMNS
             )
         if isinstance(other, (Ledger, tuple, list)):
@@ -300,17 +274,17 @@ class Ledger(Sequence):
                 runs.append([b.condition, hi - lo])
         return runs
 
-    def _column(self, name: str, dtype=np.intp) -> np.ndarray:
+    def _column(self, name: str) -> np.ndarray:
         """Column ``name`` of every block as one flat array; a missing index
         column (None) reads -1, which no 0-based row or offset takes."""
         parts = []
         for b in self.blocks:
             col = getattr(b, name)
             if col is None:
-                col = np.full(math.prod(b.shape), -1, dtype=dtype)
-            elif isinstance(col, np.ndarray) and col.shape != b.shape:
+                col = np.full(b.lhs.size, -1, dtype=np.intp)
+            elif col.shape != b.shape:
                 col = _grid(col, b.shape)
-            parts.append(np.asarray(col, dtype=dtype).reshape(-1))
+            parts.append(col.reshape(-1))
         return np.concatenate(parts)
 
     def __hash__(self):
@@ -336,16 +310,13 @@ class Ledger(Sequence):
 
     def first_failure(self) -> ConditionRecord | None:
         """The first record whose inequality failed, in ledger order: in a
-        block of arrays the first False of ``passed`` in row-major order."""
+        block the first False of ``passed`` in row-major order."""
         for b in self.blocks:
             passed = b.passed
-            if isinstance(passed, np.ndarray):
-                if passed.size:
-                    k = int(passed.argmin())  # the first False, else 0
-                    if not passed.item(k):
-                        return self._record(b, k)
-            elif False in passed:
-                return self._record(b, passed.index(False))
+            if passed.size:
+                k = int(passed.argmin())  # the first False, else 0
+                if not passed.item(k):
+                    return self._record(b, k)
         return None
 
     def summary(self) -> list[dict]:
@@ -372,10 +343,9 @@ class Ledger(Sequence):
         """The summary groups in first-occurrence order, as in
         ``LedgerSummary.groups``.
 
-        A block of two or more axes whose rows (and pair rows) are arrays of
-        one value per first index is reduced in numpy by its first axis, one
-        group per first index (``_runs``); a ledger of at most
-        ``SMALL_LEDGER`` records, and every other block, go record by
+        A block of two or more axes is reduced in numpy by its first axis,
+        one group per first index (``_runs``); a ledger of at most
+        ``SMALL_LEDGER`` records, and every one-axis block, go record by
         record.  A key that comes back in a later group or block adds to its
         first group: a later tightest record wins only with a smaller
         difference (or when every earlier one was NaN), and the earliest
@@ -387,8 +357,7 @@ class Ledger(Sequence):
         groups: dict[tuple, list] = {}
         for b in self.blocks:
             shape = b.shape
-            grid = not small and len(shape) > 1 and 0 not in shape and all(
-                c is None or _per_group(c, shape) for c in (b.rows, b.pair_rows))
+            grid = not small and len(shape) > 1 and 0 not in shape
             for row, pair, count, failed, d, tight, first in (
                 _runs(b, shape) if grid else _record_runs(b, shape)
             ):
@@ -429,9 +398,9 @@ def _runs(b: LedgerBlock, shape: tuple) -> list[tuple]:
     records at a time, so no temporary spans the block."""
     run = math.prod(shape[1:])
     starts = np.arange(0, shape[0] * run, run)
-    rows = _firsts(b.rows, shape)
-    pairs = repeat(-1) if b.pair_rows is None else _firsts(b.pair_rows, shape)
-    lhs, rhs = (np.asarray(c, dtype=float).reshape(-1, run) for c in (b.lhs, b.rhs))
+    rows = b.rows.reshape(-1).tolist()
+    pairs = repeat(-1) if b.pair_rows is None else b.pair_rows.reshape(-1).tolist()
+    lhs, rhs = b.lhs.reshape(-1, run), b.rhs.reshape(-1, run)
     least, idx = [], []
     step = max(1, CHUNK_ENTRIES // run)
     for lo in range(0, len(lhs), step):
@@ -443,7 +412,7 @@ def _runs(b: LedgerBlock, shape: tuple) -> list[tuple]:
         idx.append((diff == low[:, None]).argmax(axis=1))
         del diff  # freed before the next slice is subtracted
     idx = [np.concatenate(idx) + starts]
-    passed = np.asarray(b.passed, dtype=bool).reshape(-1, run)
+    passed = b.passed.reshape(-1, run)
     failed = repeat(0)
     if not passed.all():
         count = run - passed.sum(axis=1)
@@ -937,24 +906,27 @@ def interval_double_b_necessary(
     b1 = [i for i in range(n) if upl[i]]
     b2 = [i for i in range(n) if not upl[i]]
     pairs = [*combinations(b1, 2), *product(b1, b2), *combinations(b2, 2)]
-    rl, il, jl = b1 + b2, [p[0] for p in pairs], [p[1] for p in pairs]
     nb1, c1 = len(b1), len(b1) * (len(b1) - 1) // 2
     c2 = c1 + len(b1) * len(b2)
-    r, i, j = (np.array(x, dtype=np.intp) for x in (rl, il, jl))
-    b = _block("b", left[r], right[r], tol, strict=False, rows=rl)
-    c = _block("c", left[i] * left[j], right[i] * right[j], tol, rows=il)
-    bl, br, bp, rt = (x.tolist() for x in (b.lhs, b.rhs, b.passed, tails[r]))
-    cl, cr, cp, it, jt = (
-        x.tolist() for x in (c.lhs, c.rhs, c.passed, tails[i], tails[j]))
+    r, i, j = (np.array(x, dtype=np.intp) for x in (
+        b1 + b2, [p[0] for p in pairs], [p[1] for p in pairs]))
+    b = _block("b", left[r], right[r], tol, strict=False, rows=r, tails=tails[r])
+    c = _block("c", left[i] * left[j], right[i] * right[j], tol, rows=i,
+               pair_rows=j, tails=tails[i], pair_tails=tails[j])
+
+    def cut(block, condition, part, keep):
+        """Records ``part`` of ``block`` as ``condition``, with its first
+        ``keep`` of the two tail columns."""
+        return LedgerBlock(condition, *(
+            None if x is None else x[part] for x in block[1:6 + keep]))
+
     ledger = _ledger(AI, (
         _block("a", k.ldiag, k.upos, tol, **k.lay.row),
-        LedgerBlock("b1", rl[:nb1], bl[:nb1], br[:nb1], bp[:nb1], tails=rt[:nb1]),
-        LedgerBlock("b2", rl[nb1:], bl[nb1:], br[nb1:], bp[nb1:]),
-        LedgerBlock("c1", il[:c1], cl[:c1], cr[:c1], cp[:c1], jl[:c1], it[:c1],
-                    jt[:c1]),
-        LedgerBlock("c2", il[c1:c2], cl[c1:c2], cr[c1:c2], cp[c1:c2], jl[c1:c2],
-                    it[c1:c2]),
-        LedgerBlock("c3", il[c2:], cl[c2:], cr[c2:], cp[c2:], jl[c2:]),
+        cut(b, "b1", slice(nb1), 1),
+        cut(b, "b2", slice(nb1, None), 0),
+        cut(c, "c1", slice(c1), 2),
+        cut(c, "c2", slice(c1, c2), 1),
+        cut(c, "c3", slice(c2, None), 0),
     ))
     return NecessaryReport("rowmax", ledger.first_failure() is None, ledger)
 

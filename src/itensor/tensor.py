@@ -26,7 +26,6 @@ __all__ = [
     "diagonal_tensor",
     "tail_tuples",
     "tail_to_flat",
-    "flat_to_tail",
     "tail1",
     "diag_tail_flat",
     "offdiag_tail_flats",
@@ -173,10 +172,6 @@ def tail_to_flat(tail: Sequence[int], dim: int) -> int:
     for c in tail:
         flat = flat * dim + c
     return flat
-
-
-def flat_to_tail(flat: int, order: int, dim: int) -> tuple[int, ...]:
-    return tail_tuples(order, dim)[flat]
 
 
 @lru_cache(maxsize=None)

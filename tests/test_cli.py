@@ -5,9 +5,9 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from itensor import check_interval_b, check_interval_double_b, make_interval, make_tensor
@@ -60,36 +60,27 @@ class TestDumpsReport:
         texts = []
         with open(_huge_circulant_file(tmp_path)) as fh:
             huge = interval_from_json(json.load(fh))
-        # Integer sides (a hand-built ledger) go to the summary writer only.
-        ints = Ledger([LedgerBlock("b", [0, 0, 1], [10**20, 9, 2], [10**20 - 1, 1, 5],
-                                   [True, True, False], tails=[1, 2, 1])], 3, 2)
         verdicts = [check_interval_double_b(AI), check_interval_b(AI, "slack"),
-                    check_interval_double_b(huge),
-                    replace(check_interval_b(AI), conditions=ints)]
+                    check_interval_double_b(huge)]
         for v in verdicts:
             rep = interval_verdict_report(v, "x")
             assert isinstance(rep["conditions"], LedgerDicts)
-            views = [v.conditions.summary_view()]
-            if v.conditions is not ints:
-                views.append(rep["conditions"])
-            for conditions in views:
+            for conditions in (v.conditions.summary_view(), rep["conditions"]):
                 for indent in (2, 3):
                     as_dicts = dict(rep, conditions=list(conditions))
                     texts.append(dumps_report(dict(rep, conditions=conditions), indent))
                     assert texts[-1] == dumps_report(as_dicts, indent)
         assert any(": -0,\n" in text for text in texts)
         assert any(": Infinity,\n" in text for text in texts)
-        assert any(": 100000000000000000000,\n" in text for text in texts)
 
 
-    @pytest.mark.parametrize("side, token", (
-        (10**20, "100000000000000000000"), (2**53 + 1, "9007199254740993"),
-        (math.inf, "Infinity"), (-0.0, "-0")))
+    @pytest.mark.parametrize("side, token", ((math.inf, "Infinity"), (-0.0, "-0")))
     def test_full_ledger_writer_on_any_side(self, side, token):
-        # Integers beyond int64 or 2**53, infinities and signed zeros are
-        # written by the full-ledger writer as by the generic one.
-        ledger = Ledger([LedgerBlock("a", [0, 1], [side, 2.5], [1.0, side],
-                                     [True, False])], 3, 2)
+        # Infinities and signed zeros are written by the full-ledger writer
+        # as by the generic one.
+        ledger = Ledger([LedgerBlock("a", np.arange(2), np.array([side, 2.5]),
+                                     np.array([1.0, side]), np.array([True, False]))],
+                        3, 2)
         for indent in (2, 3):
             text = dumps_report({"c": ledger.dicts()}, indent)
             assert text == dumps_report({"c": list(ledger.dicts())}, indent)
@@ -193,6 +184,39 @@ class TestCheckVerb:
         path.write_text(json.dumps({"order": 2, "dim": 2,
                                     "entries": [0, 0, 0, 0]}))
         assert main(["check", "--class", "b", "--epsilon", "-1", str(path)]) == 3
+
+    @pytest.mark.parametrize("epsilon", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("verb", ("check", "classify"))
+    def test_non_finite_epsilon_rejected(self, tmp_path, capsys, epsilon, verb):
+        # NaN would fail every comparison and inf pass every one; the
+        # boundary family holds at epsilon 0.
+        path = tmp_path / "boundary.json"
+        path.write_text(dumps_report(interval_to_json(boundary_interval(3, 2))))
+        argv = [verb, f"--epsilon={epsilon}", str(path)]
+        if verb == "check":
+            argv[1:1] = ["--class", "interval-double-b"]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --epsilon must be finite, got {float(epsilon)}\n"
+
+    @pytest.mark.parametrize("cls, kind", (
+        ("interval-double-b", "interval"), ("interval-z", "interval"),
+        ("double-b", "point")))
+    def test_method_refused_by_classes_without_methods(
+        self, tmp_path, capsys, accept_file, cls, kind
+    ):
+        path = accept_file
+        if kind == "point":
+            path = tmp_path / "point.json"
+            path.write_text(json.dumps({"order": 3, "dim": 2,
+                                        "entries": [6, 0, 0, 0, 0, 0, 0, 6]}))
+        assert main(["check", "--class", cls, str(path)]) in (0, 1)
+        capsys.readouterr()
+        assert main(["check", "--class", cls, "--method", "bogus", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: class {cls} takes no --method\n"
 
     def test_memory_error_exit(self, accept_file, capsys, monkeypatch):
         import itensor.cli as cli

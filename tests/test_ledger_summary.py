@@ -203,6 +203,38 @@ def test_sweep_reaches_every_tie_rule():
     assert seen == {"nan_and_real", "all_nan", "inf", "tie", "failed"}
 
 
+def _meets_block_contract(b):
+    """Whether block ``b`` is the one form ``LedgerBlock`` states: float lhs
+    and rhs and bool passed arrays of one shape, integer rows and pair rows
+    with one value per index of its first axis, integer tails and pair tails
+    that broadcast to it or None."""
+    shape = b.lhs.shape
+
+    def array(col, kind):
+        return isinstance(col, np.ndarray) and col.dtype.kind == kind
+
+    per_group = shape[:1] + (1,) * (len(shape) - 1)
+    return (
+        all(array(c, k) and c.shape == shape
+            for c, k in ((b.lhs, "f"), (b.rhs, "f"), (b.passed, "b")))
+        and all(array(c, "i") and c.shape == per_group
+                for c in (b.rows, b.pair_rows) if c is not None)
+        and all(array(c, "i") and np.broadcast_shapes(c.shape, shape) == shape
+                for c in (b.tails, b.pair_tails) if c is not None)
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_every_criterion_block_meets_the_contract(kind):
+    for AI in FAMILIES[kind]():
+        for tol in TOLS:
+            for label, ledger in ledgers(AI, tol):
+                assert ledger.blocks, label
+                for b in ledger.blocks:
+                    assert _meets_block_contract(b), (label, b.condition)
+
+
 def _no_records(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a ConditionRecord was built")
@@ -219,16 +251,17 @@ def test_summary_and_equality_build_no_record(monkeypatch):
     assert v == w
 
 
-def _lists(b):
-    """Block ``b`` with every column as a list of Python scalars, one per
-    record: a grid flattened, its index columns broadcast to it."""
-    return LedgerBlock(b.condition, *map(b.column, LedgerBlock._fields[1:]))
+def _flat_block(b):
+    """Block ``b`` as a one-axis grid: every column a new flat array of one
+    value per record, read through numpy's own broadcasting to the grid."""
+    return LedgerBlock(b.condition, *(
+        None if c is None else np.broadcast_to(c, b.shape).flatten() for c in b[1:]))
 
 
 def _reblocked(ledger, step):
-    """The same records as Python-list blocks of at most ``step`` records."""
+    """The same records as flat array blocks of at most ``step`` records."""
     blocks = []
-    for b in map(_lists, ledger.blocks):
+    for b in map(_flat_block, ledger.blocks):
         size = len(b.lhs)
         cuts = [*range(0, size, step), size]
         for lo, hi in zip(cuts, cuts[1:]):
@@ -237,13 +270,10 @@ def _reblocked(ledger, step):
     return Ledger(blocks, ledger.order, ledger.dim)
 
 
-def _flat(ledger, kind):
-    """The same records with every column a flat Python list or numpy array
-    of one value per record, as blocks are built by hand: no grid left."""
-    make = list if kind == "lists" else np.array
-    return Ledger([LedgerBlock(b.condition, *(None if c is None else make(c)
-                                              for c in _lists(b)[1:]))
-                   for b in ledger.blocks], ledger.order, ledger.dim)
+def _flat(ledger):
+    """The same records with every column a flat array of one value per
+    record: no grid of more than one axis left."""
+    return Ledger(map(_flat_block, ledger.blocks), ledger.order, ledger.dim)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -260,24 +290,22 @@ def test_grid_and_flat_blocks_agree(shape, tol):
             grids += any(np.ndim(b.lhs) > 1 for b in grid.blocks)
             full = dumps_report({"conditions": grid.dicts()})
             summary = dumps_report({"conditions": grid.summary_view()})
-            for flat in (_flat(grid, "lists"), _flat(grid, "arrays")):
-                assert grid == flat and flat == grid, label
-                assert _canon(flat.summary()) == _canon(grid.summary()), label
-                assert flat.first_failure() == grid.first_failure(), label
-                assert dumps_report({"conditions": flat.dicts()}) == full, label
-                assert dumps_report({"conditions": flat.summary_view()}) == summary
+            flat = _flat(grid)
+            assert grid == flat and flat == grid, label
+            assert _canon(flat.summary()) == _canon(grid.summary()), label
+            assert flat.first_failure() == grid.first_failure(), label
+            assert dumps_report({"conditions": flat.dicts()}) == full, label
+            assert dumps_report({"conditions": flat.summary_view()}) == summary
     assert grids  # the criteria's own blocks are grids
 
 
 def _with(ledger, k, name, value):
     """A copy whose k-th record has column ``name`` replaced."""
     blocks, seen = [], 0
-    for b in map(_lists, ledger.blocks):
+    for b in map(_flat_block, ledger.blocks):
         size = len(b.lhs)
         if seen <= k < seen + size:
-            col = list(getattr(b, name))
-            col[k - seen] = value
-            b = b._replace(**{name: col})
+            getattr(b, name)[k - seen] = value
         seen += size
         blocks.append(b)
     return Ledger(blocks, ledger.order, ledger.dim)
@@ -333,7 +361,7 @@ def _reordered(b, rng, whole_runs):
     its records reordered: its runs of one (row, pair row) shuffled whole
     when ``whole_runs``, so rows run out of order in runs of one length,
     else record by record."""
-    cols = [None if c is None else np.array(c) for c in _lists(b)[1:]]
+    cols = list(_flat_block(b)[1:])
     rows, pair_rows = cols[0], cols[4]
     size = len(rows)
     order = rng.permutation(size)
@@ -393,21 +421,12 @@ def test_summary_cuts_array_runs(rows, monkeypatch):
     assert _canon(ledger.summary()) == _canon(reference_summary(list(ledger)))
 
 
-def _by_record(b):
-    """Block ``b`` as lists of one value per record, read through numpy's own
-    broadcasting of each column to the grid of ``lhs``."""
-    shape = b.lhs.shape
-    return LedgerBlock(b.condition, *(
-        None if c is None else np.broadcast_to(c, shape).ravel().tolist()
-        for c in b[1:]))
-
-
 @pytest.mark.parametrize("tol", (0.0, 0.5))
 @pytest.mark.parametrize("small_ledger", (0, 1 << 30), ids=("groups", "records"))
 def test_hand_built_grid_blocks_read_as_their_records(tol, small_ledger, monkeypatch):
     """The LedgerBlock contract: lhs, rhs and passed of one shape, records in
-    row-major order, index columns that broadcast to the grid, whether or
-    not the rows follow the first axis."""
+    row-major order, rows that follow the grid's first axis and tails that
+    broadcast to the grid."""
     monkeypatch.setattr(interval_classify, "SMALL_LEDGER", small_ledger)
     order, dim = 3, 3
     od = row_layout(order, dim).od
@@ -424,13 +443,9 @@ def test_hand_built_grid_blocks_read_as_their_records(tol, small_ledger, monkeyp
         "c1", iu[:, None, None], *sides((len(iu), q, q)),
         pair_rows=ju[:, None, None], tails=od[iu][:, :, None],
         pair_tails=od[ju][:, None, :])
-    # Rows that change along the second axis: no group per first index.
-    mixed = LedgerBlock("b1", np.arange(dim * q).reshape(dim, q) % dim,
-                        *sides((dim, q)), tails=od)
-    for blocks in ([rows, pairs], [pairs], [pairs, rows, rows._replace(lhs=-rows.lhs)],
-                   [rows, mixed]):
+    for blocks in ([rows, pairs], [pairs], [pairs, rows, rows._replace(lhs=-rows.lhs)]):
         grid = Ledger(blocks, order, dim)
-        flat = Ledger([_by_record(b) for b in blocks], order, dim)
+        flat = Ledger(map(_flat_block, blocks), order, dim)
         assert len(grid) == len(flat) == sum(b.lhs.size for b in blocks)
         assert grid == flat and flat == grid
         assert list(grid) == list(flat)
