@@ -2,7 +2,8 @@
 
 Verbs: ``check`` (run one class criterion on a tensor or interval file),
 ``classify`` (the double-B dichotomy), ``generate`` (write a random
-instance), and ``cross-validate`` (run the oracle suite).  Exit codes:
+instance), and ``cross-validate`` (run the oracle suite); each takes only
+the options it reads.  ``check`` runs one entry of ``CHECKS``.  Exit codes:
 0 the property holds, 1 it fails, 2 the criterion is inconclusive,
 3 usage or parse error, an input file above ``MAX_INPUT_BYTES`` or
 nested too deeply to parse, an input too large for memory, a tensor order
@@ -16,12 +17,20 @@ as ``Infinity``, ``-Infinity`` and ``NaN``, the tokens ``json`` reads.
 
 The ``"conditions"`` of a ``check`` report on an interval file is, by
 default, ``Ledger.summary()``: one group per condition id and row (or row
-pair) with ``id``, ``rows``, ``evaluated``, ``failed``, ``tightest`` and
-``first_failure``.  The report holds it as a ``LedgerSummary``, whose group
-tuples the writer prints with one ``%`` template per group shape, building
-no dict.  ``--ledger full`` writes every evaluated record instead, from the
-ledger's columns with one template per block.  Status, witness and exit
-code are the same either way; a text report builds no summary.
+pair), held as a ``LedgerSummary``.  ``--ledger full`` writes every
+evaluated record instead, held as ``LedgerDicts``.  Status, witness and
+exit code are the same either way; a text report builds no summary.
+
+One writer, ``_write``, writes every report, and builds no dict for a
+ledger.  The key names and order of a record and a group are stated once,
+by their dict forms in ``interval_classify`` (``_record_dict``,
+``LedgerSummary._dict`` and ``_side_dict``).  ``_template`` writes such a
+form with ``%`` slots (``_Slot``) as its leaves, which gives one template
+per record or group shape, cached by shape, depth and indent; each record
+is that template filled from the ledger's columns, each group from its
+group tuple.  The id is filled in like every other leaf, so no template
+text needs escaping.  Row and tail lists are filled in as texts that
+``_write`` wrote, cached per order, dim, depth and indent.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import os
 import stat
 import sys
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -41,6 +51,7 @@ from . import __version__
 from .classify import (
     B_METHODS,
     Status,
+    Verdict,
     check_b,
     check_b_circulant,
     check_dd,
@@ -59,9 +70,9 @@ from .interval import (
 )
 from .interval_classify import (
     INTERVAL_B_METHODS,
-    Ledger,
     LedgerDicts,
     LedgerSummary,
+    _record_dict,
     check_interval_b,
     check_interval_circulant,
     check_interval_double_b,
@@ -72,17 +83,25 @@ from .interval_classify import (
 from .oracle import STRUCTURES, GeneratorSpec, equivalence_suite, random_interval_tensor
 from .tensor import MAX_ORDER, tail1, tensor_from_json
 
-POINT_CLASSES = (
-    "b", "double-b", "z", "sdd", "circulant-b", "p-sufficient", "p-falsify"
-)
-INTERVAL_CLASSES = (
-    "interval-b",
-    "interval-double-b",
-    "interval-z",
-    "interval-circulant",
-    "interval-p-sufficient",
-)
-ALL_CLASSES = POINT_CLASSES + INTERVAL_CLASSES + ("dichotomy",)
+# class -> (input file kind, methods (the first is the default), check).  A
+# check is named, and looked up in this module when it runs, so that a
+# wrapper put on the module's attribute sees every call.
+CHECKS = {
+    "b": ("tensor", B_METHODS, "check_b"),
+    "double-b": ("tensor", (), "check_double_b"),
+    "z": ("tensor", (), "check_z"),
+    "sdd": ("tensor", (), "check_dd"),
+    "circulant-b": ("tensor", (), "check_b_circulant"),
+    "p-sufficient": ("tensor", (), "p_sufficient"),
+    "p-falsify": ("tensor", (), "falsify_p"),
+    "interval-b": ("interval", INTERVAL_B_METHODS, "check_interval_b"),
+    "interval-double-b": ("interval", (), "check_interval_double_b"),
+    "interval-z": ("interval", (), "_check_interval_z"),
+    "interval-circulant": ("interval", (), "check_interval_circulant"),
+    "interval-p-sufficient": ("interval", (), "interval_p_sufficient"),
+}
+INTERVAL_CLASSES = tuple(c for c, (kind, *_) in CHECKS.items() if kind == "interval")
+_FILES = {"tensor": "a tensor file", "interval": "an interval file"}
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
@@ -122,6 +141,11 @@ def _number(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
 
 
+class _Slot(str):
+    """A ``%`` conversion as a leaf of a dict form, which ``_write`` writes
+    as it is: the form written with slot leaves is a template."""
+
+
 def _scalar(x) -> str:
     """A JSON scalar as ``dumps_report`` writes it."""
     if x is None:
@@ -133,7 +157,7 @@ def _scalar(x) -> str:
     if isinstance(x, float):
         return _number(x)
     if isinstance(x, str):
-        return encode_basestring_ascii(x)
+        return x if type(x) is _Slot else encode_basestring_ascii(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -145,73 +169,85 @@ def _finite_floats(values: list) -> bool:
     return math.isfinite(sum(values))
 
 
-def _list_text(items, pad: str, close: str) -> str:
-    return "[\n" + ",\n".join(f"{pad}{x}" for x in items) + f"\n{close}]"
+def _text(x, depth: int, indent: int) -> str:
+    """``x`` as ``_write`` writes it at ``depth``."""
+    out: list[str] = []
+    _write(out, x, depth, indent)
+    return "".join(out)
 
 
 @lru_cache(maxsize=64)
 def _index_texts(order: int, dim: int, depth: int, indent: int) -> tuple:
-    """The JSON lists of one row and of a tail at ``depth``, as
-    ``dumps_report`` writes them: a row by its 0-based index and a 1-based
-    tail by its flat offset.  The n**2 row pairs are ``_pair_texts``."""
-    pad, close = " " * (indent * (depth + 1)), " " * (indent * depth)
+    """The texts of one row and of a tail at ``depth``: a row by its 0-based
+    index and a 1-based tail by its flat offset.  The n**2 row pairs are
+    ``_pair_texts``."""
     shape = SimpleNamespace(order=order, dim=dim)
     return (
-        tuple(_list_text((i,), pad, close) for i in range(1, dim + 1)),
-        tuple(_list_text(tail1(shape, f), pad, close)
+        tuple(_text((i,), depth, indent) for i in range(1, dim + 1)),
+        tuple(_text(tail1(shape, f), depth, indent)
               for f in range(dim ** (order - 1))),
     )
 
 
 @lru_cache(maxsize=16)
 def _pair_texts(dim: int, depth: int, indent: int) -> tuple:
-    """The JSON lists of two rows at ``depth``, by both 0-based rows; built
-    only for a report that holds a row-pair condition."""
-    pad, close = " " * (indent * (depth + 1)), " " * (indent * depth)
+    """The texts of two rows at ``depth``, by both 0-based rows; built only
+    for a report that holds a row-pair condition."""
     rows = range(1, dim + 1)
-    return tuple(tuple(_list_text((i, j), pad, close) for j in rows) for i in rows)
+    return tuple(tuple(_text((i, j), depth, indent) for j in rows) for i in rows)
 
 
-def _ledger_lines(ledger: Ledger, depth: int, indent: int) -> list[str]:
-    """One JSON object per record, written straight from the ledger's
-    columns with one template per block."""
-    p1, p2 = (" " * (indent * d) for d in (depth, depth + 1))
+@lru_cache(maxsize=256)
+def _template(shape: tuple, num: str, depth: int, indent: int) -> str:
+    """The ``%`` template of a full-ledger record or a summary group at
+    ``depth``: its dict form as ``_write`` writes it with slot leaves, ``%s``
+    for texts and counts and ``num`` for the sides.  ``shape`` says which
+    optional leaves it has: a record's tail and pair tail as two bools, or a
+    group's two records, each such a pair or None for no record."""
+    text, value = _Slot("%s"), _Slot(num)
+
+    def tails(on):
+        return (text if x else None for x in on)
+
+    if isinstance(shape[0], bool):
+        form = _record_dict(text, text, value, value, text, *tails(shape))
+    else:
+        form = LedgerSummary._dict(text, text, text, text, *(
+            None if on is None else LedgerSummary._side_dict(value, value, *tails(on))
+            for on in shape))
+    return _text(form, depth, indent)
+
+
+def _record_lines(view: LedgerDicts, depth: int, indent: int) -> list[str]:
+    """The records of ``view`` at ``depth``, filled into one template per
+    ledger block from its columns."""
+    ledger = view.ledger
     one_row, tails = _index_texts(ledger.order, ledger.dim, depth + 1, indent)
     lines = []
     for b in ledger.blocks:
         if b.pair_rows is None:
-            cols = [[one_row[i] for i in b.column("rows")]]
+            rows = [one_row[i] for i in b.column("rows")]
         else:
             two_rows = _pair_texts(ledger.dim, depth + 1, indent)
             pairs = zip(b.column("rows"), b.column("pair_rows"))
-            cols = [[two_rows[i][j] for i, j in pairs]]
-        lhs, rhs, passed = map(b.column, ("lhs", "rhs", "passed"))
+            rows = [two_rows[i][j] for i, j in pairs]
+        # lhs, rhs and passed have the grid's shape.
+        lhs, rhs, passed = (c.ravel().tolist() for c in (b.lhs, b.rhs, b.passed))
         num = "%.17g"
         if not _finite_floats([*lhs, *rhs]):
             lhs, rhs, num = [_scalar(x) for x in lhs], [_scalar(x) for x in rhs], "%s"
-        cols += [lhs, rhs, ["true" if ok else "false" for ok in passed]]
-        cond = encode_basestring_ascii(b.condition).replace("%", "%%")
-        tmpl = (
-            f'{p1}{{\n{p2}"id": {cond},\n{p2}"rows": %s,\n'
-            f'{p2}"lhs": {num},\n{p2}"rhs": {num},\n{p2}"passed": %s'
-        )
-        if b.tails is not None:
-            cols.append([tails[f] for f in b.column("tails")])
-            tmpl += f',\n{p2}"tail": %s'
-        if b.pair_tails is not None:
-            cols.append([tails[f] for f in b.column("pair_tails")])
-            tmpl += f',\n{p2}"pair_tail": %s'
-        tmpl += f"\n{p1}}}"
+        at = [b.column(name) for name in ("tails", "pair_tails")]
+        cols = [repeat(encode_basestring_ascii(b.condition)), rows, lhs, rhs,
+                ["true" if ok else "false" for ok in passed]]
+        cols += [[tails[f] for f in col] for col in at if col is not None]
+        tmpl = _template(tuple(col is not None for col in at), num, depth, indent)
         lines += [tmpl % fields for fields in zip(*cols)]
     return lines
 
 
-def _summary_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
-    """One JSON object per summary group, written straight from the group
-    tuples with one template per group shape: the id, and whether the
-    tightest record and the first failure (or its ``null``) carry a tail
-    and a pair tail."""
-    p1, p2, p3 = (" " * (indent * d) for d in (depth, depth + 1, depth + 2))
+def _group_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
+    """The groups of ``view`` at ``depth``, filled from the group tuples into
+    one template per group shape."""
     one_row = _index_texts(view.order, view.dim, depth + 1, indent)[0]
     tails = _index_texts(view.order, view.dim, depth + 2, indent)[1]
     if any(g[2] >= 0 for g in view.groups):
@@ -221,30 +257,12 @@ def _summary_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
     if not _finite_floats(values):
         num, values = "%s", [_scalar(x) for x in values]
     values = iter(values)
-
-    def template(shape: tuple) -> str:
-        cond, *sides = shape
-        cond = encode_basestring_ascii(cond).replace("%", "%%")
-        text = [f'{p1}{{\n{p2}"id": {cond},\n'
-                f'{p2}"rows": %s,\n{p2}"evaluated": %d,\n{p2}"failed": %d']
-        for key, side in zip(("tightest", "first_failure"), sides):
-            text.append(f',\n{p2}"{key}": ')
-            if side is None:
-                text.append("null")
-                continue
-            text.append(f'{{\n{p3}"lhs": {num},\n{p3}"rhs": {num}')
-            text += [f',\n{p3}"{k}": %s'
-                     for k, on in zip(("tail", "pair_tail"), side) if on]
-            text.append(f"\n{p2}}}")
-        text.append(f"\n{p1}}}")
-        return "".join(text)
-
-    templates: dict[tuple, str] = {}
     lines = []
-    for cond, row, pair, evaluated, failed, tight, first in view.groups:
-        fields = [one_row[row] if pair < 0 else two_rows[row][pair], evaluated, failed]
-        shape = [cond]
-        for side in (tight, first):
+    for cond, row, pair, evaluated, failed, *sides in view.groups:
+        row_text = one_row[row] if pair < 0 else two_rows[row][pair]
+        fields = [encode_basestring_ascii(cond), row_text, evaluated, failed]
+        shape = []
+        for side in sides:
             if side is None:
                 shape.append(None)
                 continue
@@ -255,54 +273,48 @@ def _summary_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
                 fields.append(tails[tail])
             if pair_tail is not None:
                 fields.append(tails[pair_tail])
-        shape = tuple(shape)
-        tmpl = templates.get(shape)
-        if tmpl is None:
-            tmpl = templates[shape] = template(shape)
-        lines.append(tmpl % tuple(fields))
+        lines.append(_template(tuple(shape), num, depth, indent) % tuple(fields))
     return lines
 
 
-def dumps_report(obj, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits.
-
-    Pieces are appended to one list and joined once; a condition ledger
-    (``LedgerDicts``) or its summary (``LedgerSummary``) is written from its
-    columns without building dicts.
-    """
-    out: list[str] = []
-
-    def emit(x, depth: int) -> None:
-        if isinstance(x, dict):
-            if not x:
-                out.append("{}")
-                return
-            pad_in = " " * (indent * (depth + 1))
-            sep = "{\n"
-            for k, v in x.items():
-                out.append(f"{sep}{pad_in}{encode_basestring_ascii(str(k))}: ")
-                emit(v, depth + 1)
-                sep = ",\n"
-            out.append("\n" + " " * (indent * depth) + "}")
-        elif isinstance(x, (list, tuple, LedgerDicts, LedgerSummary)):
-            if not x:
-                out.append("[]")
-                return
-            pad_in = " " * (indent * (depth + 1))
-            out.append("[\n")
-            if isinstance(x, LedgerDicts):
-                out.append(",\n".join(_ledger_lines(x.ledger, depth + 1, indent)))
-            elif isinstance(x, LedgerSummary):
-                out.append(",\n".join(_summary_lines(x, depth + 1, indent)))
-            else:
-                for k, v in enumerate(x):
-                    out.append(",\n" + pad_in if k else pad_in)
-                    emit(v, depth + 1)
-            out.append("\n" + " " * (indent * depth) + "]")
+def _write(out: list, x, depth: int, indent: int) -> None:
+    """Append ``x`` to ``out`` as JSON at ``depth``; a condition ledger
+    (``LedgerDicts``) or its summary (``LedgerSummary``) is filled into
+    templates, building no dict."""
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        pad_in = " " * (indent * (depth + 1))
+        sep = "{\n"
+        for k, v in x.items():
+            out.append(f"{sep}{pad_in}{encode_basestring_ascii(str(k))}: ")
+            _write(out, v, depth + 1, indent)
+            sep = ",\n"
+        out.append("\n" + " " * (indent * depth) + "}")
+    elif isinstance(x, (list, tuple, LedgerDicts, LedgerSummary)):
+        if not x:
+            out.append("[]")
+            return
+        pad_in = " " * (indent * (depth + 1))
+        out.append("[\n")
+        if isinstance(x, (LedgerDicts, LedgerSummary)):
+            fill = _record_lines if isinstance(x, LedgerDicts) else _group_lines
+            out += (pad_in, (",\n" + pad_in).join(fill(x, depth + 1, indent)))
         else:
-            out.append(_scalar(x))
+            for k, v in enumerate(x):
+                out.append(",\n" + pad_in if k else pad_in)
+                _write(out, v, depth + 1, indent)
+        out.append("\n" + " " * (indent * depth) + "]")
+    else:
+        out.append(_scalar(x))
 
-    emit(obj, 0)
+
+def dumps_report(obj, indent: int = 2) -> str:
+    """Deterministic JSON with floats at 17 significant digits: the pieces
+    ``_write`` appends to one list, joined once."""
+    out: list[str] = []
+    _write(out, obj, 0, indent)
     out.append("\n")
     return "".join(out)
 
@@ -381,26 +393,25 @@ def _status_exit(status: Status) -> int:
     }[status]
 
 
-def _run_point(args, T):
+def _check_interval_z(AI, tol: float = 0.0) -> Verdict:
+    """Interval Z as a verdict: the signs of the upper off-diagonal bounds
+    decide, so ``tol`` is unused."""
+    status = Status.HOLDS if is_interval_z(AI) else Status.FAILS
+    return Verdict(status, "offdiag_upper_sign")
+
+
+def _run_check(args):
+    """Run the entry of ``CHECKS`` for ``--class`` on the input file."""
     cls = args.class_id
-    tol = args.epsilon
-    if cls == "b":
-        method = args.method or "definition"
-        if method not in B_METHODS:
-            raise UsageError(f"--method for class b must be one of {B_METHODS}")
-        v = check_b(T, method, tol=tol)
-    elif cls == "double-b":
-        v = check_double_b(T, tol=tol)
-    elif cls == "z":
-        v = check_z(T, tol=tol)
-    elif cls == "sdd":
-        v = check_dd(T, strict=True, tol=tol)
-    elif cls == "circulant-b":
-        v = check_b_circulant(T, tol=tol)
-    elif cls == "p-sufficient":
-        v = p_sufficient(T, tol=tol)
-    elif cls == "p-falsify":
-        res = falsify_p(T, budget=args.budget, seed=args.seed)
+    kind, methods, name = CHECKS[cls]
+    if args.method is not None and not methods:
+        raise UsageError(f"class {cls} takes no --method")
+    got, data, digest = _load_input(args.input)
+    if got != kind:
+        raise UsageError(f"class {cls} needs {_FILES[kind]}, got {_FILES[got]}")
+    check = globals()[name]
+    if cls == "p-falsify":
+        res = check(data, budget=args.budget, seed=args.seed)
         status = Status.FAILS if res.falsified else Status.INCONCLUSIVE
         report = {
             "class": cls,
@@ -417,88 +428,30 @@ def _run_point(args, T):
         summary = (
             "P property falsified" if res.falsified else "no counterexample found"
         )
-        return report, status, summary
-    else:
-        raise UsageError(f"class {cls} does not apply to a tensor file")
-    report = verdict_report(v, cls)
-    summary = v.status.value.upper()
-    if v.witness is not None:
-        summary += ": " + _human_witness(v.witness, v.method)
-    return report, v.status, summary
-
-
-def _run_interval(args, AI):
-    cls = args.class_id
-    tol = args.epsilon
-    if cls == "interval-b":
-        method = args.method or "theorem"
-        if method not in INTERVAL_B_METHODS:
-            raise UsageError(
-                f"--method for class interval-b must be one of {INTERVAL_B_METHODS}"
-            )
-        v = check_interval_b(AI, method, tol=tol)
-    elif cls == "interval-double-b":
-        v = check_interval_double_b(AI, tol=tol)
-    elif cls == "interval-z":
-        ok = is_interval_z(AI)
-        status = Status.HOLDS if ok else Status.FAILS
-        report = {"class": cls, "method": "offdiag_upper_sign", "status": status.value}
-        return report, status, status.value.upper()
-    elif cls == "interval-circulant":
-        v = check_interval_circulant(AI, tol=tol)
-    elif cls == "interval-p-sufficient":
-        v = interval_p_sufficient(AI, tol=tol)
-    else:
-        raise UsageError(f"class {cls} does not apply to an interval file")
-    report = interval_verdict_report(v, cls)
+        return report, status, digest, summary
+    method = [args.method or methods[0]] if methods else []
+    if method and method[0] not in methods:
+        raise UsageError(f"--method for class {cls} must be one of {methods}")
+    v = check(data, *method, tol=args.epsilon)
+    report = (interval_verdict_report if kind == "interval" else verdict_report)(v, cls)
     if (args.format, args.ledger) == ("json", "summary") and "conditions" in report:
         report["conditions"] = v.conditions.summary_view()
     summary = v.status.value.upper()
     if v.witness is not None:
         summary += ": " + _human_witness(v.witness, v.method)
-    return report, v.status, summary
-
-
-def _run_check(args):
-    if args.method is not None and args.class_id not in ("b", "interval-b"):
-        raise UsageError(f"class {args.class_id} takes no --method")
-    kind, data, digest = _load_input(args.input)
-    if kind == "tensor":
-        if args.class_id not in POINT_CLASSES:
-            raise UsageError(
-                f"class {args.class_id} needs an interval file, got a tensor file"
-            )
-        report, status, summary = _run_point(args, data)
-    else:
-        if args.class_id not in INTERVAL_CLASSES:
-            raise UsageError(
-                f"class {args.class_id} needs a tensor file, got an interval file"
-            )
-        report, status, summary = _run_interval(args, data)
-    return report, status, digest, summary
+    return report, v.status, digest, summary
 
 
 def _run_classify(args):
     kind, data, digest = _load_input(args.input)
-    if args.class_id not in (None, "dichotomy"):
-        raise UsageError("classify supports only --class dichotomy")
     if kind == "tensor":
         d = classify_double_b_dichotomy(data, tol=args.epsilon)
-        report = {
-            "class": "dichotomy",
-            "kind": d.kind,
-            "critical_row": d.critical_row,
-        }
-        status = Status.FAILS if d.kind == "not_double_b" else Status.HOLDS
-        return report, status, digest, f"kind {d.kind}"
-    d = classify_interval_double_b_dichotomy(data, tol=args.epsilon)
-    report = {
-        "class": "dichotomy",
-        "kind": d.kind,
-        "critical_row": d.critical_row,
-        "failing_mode": d.failing_mode,
-        "failing_tail": list(d.failing_tail) if d.failing_tail else None,
-    }
+    else:
+        d = classify_interval_double_b_dichotomy(data, tol=args.epsilon)
+    report = {"class": "dichotomy", "kind": d.kind, "critical_row": d.critical_row}
+    if kind == "interval":
+        report["failing_mode"] = d.failing_mode
+        report["failing_tail"] = list(d.failing_tail) if d.failing_tail else None
     status = Status.FAILS if d.kind == "not_double_b" else Status.HOLDS
     return report, status, digest, f"kind {d.kind}"
 
@@ -541,42 +494,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("input", help="tensor or interval JSON file")
-        sp.add_argument("--epsilon", type=float, default=0.0,
-                        help="comparison tolerance (default 0: exact)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=10000)
-        sp.add_argument("--output", default=None, help="write the report here")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
+    options = {
+        "input": {"help": "tensor or interval JSON file"},
+        "--epsilon": {"type": float, "default": 0.0,
+                      "help": "comparison tolerance (default 0: exact)"},
+        "--seed": {"type": int, "default": 0},
+        "--budget": {"type": int, "default": 10000},
+        "--output": {"default": None, "help": "write the report here"},
+        "--format": {"choices": ("json", "text"), "default": "json"},
+    }
+
+    def common(sp, *names):
+        """The options ``names`` that verb ``sp`` reads, then its output."""
+        for name in (*names, "--output", "--format"):
+            sp.add_argument(name, **options[name])
 
     c = sub.add_parser("check", help="run one class criterion")
-    c.add_argument("--class", dest="class_id", required=True, choices=ALL_CLASSES)
+    c.add_argument("--class", dest="class_id", required=True, choices=tuple(CHECKS))
     c.add_argument("--method", default=None)
     c.add_argument("--ledger", choices=("summary", "full"), default="summary",
                    help="condition ledger of a JSON report on an interval file: "
                         "one group per condition and row (default) or every "
                         "record; ignored by other inputs and classes")
-    common(c)
+    common(c, "input", "--epsilon", "--seed", "--budget")
 
     cl = sub.add_parser("classify", help="double-B dichotomy")
     cl.add_argument("--class", dest="class_id", default="dichotomy",
                     choices=("dichotomy",))
-    common(cl)
+    common(cl, "input", "--epsilon")
 
     g = sub.add_parser("generate", help="write a random interval instance")
     g.add_argument("--m", type=int, required=True, help="tensor order")
     g.add_argument("--n", type=int, required=True, help="tensor dimension")
     g.add_argument("--structure", default="general", choices=STRUCTURES)
-    common(g, needs_input=False)
+    common(g, "--seed")
 
     x = sub.add_parser("cross-validate", help="run the oracle suite")
     x.add_argument("--trials", type=int, default=200)
     x.add_argument("--m", type=int, default=3)
     x.add_argument("--n", type=int, default=2)
     x.add_argument("--structure", default="mixed", choices=("mixed",) + STRUCTURES)
-    common(x, needs_input=False)
+    common(x, "--seed")
     return p
 
 

@@ -437,8 +437,8 @@ class LedgerSummary(Sequence):
     ``groups`` holds one tuple per group: (id, 0-based row, pair row or -1,
     evaluated, failed, tightest, first failure), each record as (lhs, rhs,
     flat tail or None, flat pair tail or None) and the first failure None
-    when no record failed.  The CLI's report writer writes these tuples
-    without building dicts, to the same bytes.
+    when no record failed.  The CLI's report writer fills templates written
+    from ``_dict`` and ``_side_dict`` with these tuples, to the same bytes.
     """
 
     __slots__ = ("order", "dim", "groups")
@@ -452,53 +452,57 @@ class LedgerSummary(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [self._dict(g) for g in self.groups[k]]
-        return self._dict(self.groups[k])
+            return [self._group(g) for g in self.groups[k]]
+        return self._group(self.groups[k])
 
     def __iter__(self):
-        return map(self._dict, self.groups)
+        return map(self._group, self.groups)
 
-    def _dict(self, group: tuple) -> dict:
+    def _group(self, group: tuple) -> dict:
         cond, row, pair, evaluated, failed, tight, first = group
-        return {
-            "id": cond,
-            "rows": [row + 1] if pair < 0 else [row + 1, pair + 1],
-            "evaluated": evaluated,
-            "failed": failed,
-            "tightest": self._side_dict(tight),
-            "first_failure": None if first is None else self._side_dict(first),
-        }
+        rows = [row + 1] if pair < 0 else [row + 1, pair + 1]
+        return self._dict(cond, rows, evaluated, failed, self._side(tight),
+                          None if first is None else self._side(first))
 
-    def _side_dict(self, side: tuple) -> dict:
-        lhs, rhs, tail, pair_tail = side
-        out = {"lhs": lhs, "rhs": rhs}
-        if tail is not None:
-            out["tail"] = list(tail1(self, tail))
-        if pair_tail is not None:
-            out["pair_tail"] = list(tail1(self, pair_tail))
-        return out
+    def _side(self, side: tuple) -> dict:
+        lhs, rhs, *tails = side
+        tails = (None if t is None else list(tail1(self, t)) for t in tails)
+        return self._side_dict(lhs, rhs, *tails)
+
+    @staticmethod
+    def _dict(cond, rows, evaluated, failed, tight, first) -> dict:
+        """A group from its leaf values: the one statement of its keys."""
+        return {"id": cond, "rows": rows, "evaluated": evaluated,
+                "failed": failed, "tightest": tight, "first_failure": first}
+
+    @staticmethod
+    def _side_dict(lhs, rhs, tail, pair_tail) -> dict:
+        """A group's tightest record or first failure from its leaf values."""
+        return _with_tails({"lhs": lhs, "rhs": rhs}, tail, pair_tail)
 
 
-def _record_dict(rec: ConditionRecord) -> dict:
-    out = {
-        "id": rec.condition,
-        "rows": list(rec.rows),
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "passed": rec.passed,
-    }
-    if rec.tail is not None:
-        out["tail"] = list(rec.tail)
-    if rec.pair_tail is not None:
-        out["pair_tail"] = list(rec.pair_tail)
+def _with_tails(out: dict, tail, pair_tail) -> dict:
+    """``out`` with the tail and pair tail that are not None."""
+    if tail is not None:
+        out["tail"] = tail
+    if pair_tail is not None:
+        out["pair_tail"] = pair_tail
     return out
+
+
+def _record_dict(cond, rows, lhs, rhs, passed, tail, pair_tail) -> dict:
+    """A full-ledger record from its leaf values: the one statement of its
+    keys and their order."""
+    record = {"id": cond, "rows": rows, "lhs": lhs, "rhs": rhs, "passed": passed}
+    return _with_tails(record, tail, pair_tail)
 
 
 class LedgerDicts(Sequence):
     """Report form of a ledger: each record as a dict, built on access.
 
-    The CLI's report writer does not build these dicts; it writes the
-    ledger's columns directly, to the same bytes.
+    The CLI's report writer does not build these dicts; it fills templates
+    written from ``_record_dict`` with the ledger's columns, to the same
+    bytes.
     """
 
     __slots__ = ("ledger",)
@@ -511,11 +515,17 @@ class LedgerDicts(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [_record_dict(rec) for rec in self.ledger[k]]
-        return _record_dict(self.ledger[k])
+            return [self._record(rec) for rec in self.ledger[k]]
+        return self._record(self.ledger[k])
 
     def __iter__(self):
-        return map(_record_dict, self.ledger)
+        return map(self._record, self.ledger)
+
+    @staticmethod
+    def _record(rec: ConditionRecord) -> dict:
+        tails = (None if t is None else list(t) for t in (rec.tail, rec.pair_tail))
+        return _record_dict(rec.condition, list(rec.rows), rec.lhs, rec.rhs,
+                            rec.passed, *tails)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,27 @@ class TestDumpsReport:
         assert f'"lhs": {token},\n' in text
 
 
+    def test_condition_ids_are_escaped(self):
+        # An id holding a %, a quote and non-ASCII characters is filled into
+        # the ledger templates as the generic writer writes it.
+        cond = 'c%d "%s" \u00e9\u2603'
+        lhs, rhs = np.array([[1.0, -2.5, 0.5], [4.0, 0.0, -0.0]]), np.full((2, 3), 0.5)
+        blocks = [
+            LedgerBlock(cond, np.arange(2)[:, None], lhs, rhs, lhs > rhs,
+                        tails=np.array([[1, 2, 3], [0, 2, 3]])),
+            LedgerBlock(cond + "%", np.array([0]), np.array([[3.0, 1.0]]),
+                        np.array([[2.0, 1.0]]), np.array([[True, False]]),
+                        pair_rows=np.array([1]), tails=np.array([[1, 2]]),
+                        pair_tails=np.array([[3, 0]])),
+        ]
+        ledger = Ledger(blocks, 3, 2)
+        for conditions in (ledger.dicts(), ledger.summary_view()):
+            for indent in (2, 3):
+                text = dumps_report({"c": conditions}, indent)
+                assert text == dumps_report({"c": list(conditions)}, indent)
+                assert '"c%d \\"%s\\" \\u00e9\\u2603%"' in text
+
+
 class TestCheckVerb:
     def test_interval_b_reject(self, reject_file, capsys):
         code = main(["check", "--class", "interval-b", "--method", "theorem",
@@ -217,6 +238,19 @@ class TestCheckVerb:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: class {cls} takes no --method\n"
+
+    @pytest.mark.parametrize("kind", ("interval", "tensor"))
+    def test_dichotomy_is_not_a_check_class(self, tmp_path, capsys, accept_file, kind):
+        # The dichotomy is the classify verb: check refuses it on either file.
+        path = accept_file
+        if kind == "tensor":
+            path = tmp_path / "point.json"
+            path.write_text(json.dumps({"order": 3, "dim": 2,
+                                        "entries": [6, 0, 0, 0, 0, 0, 0, 6]}))
+        assert main(["check", "--class", "dichotomy", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "invalid choice: 'dichotomy'" in out.err
 
     def test_memory_error_exit(self, accept_file, capsys, monkeypatch):
         import itensor.cli as cli
@@ -545,6 +579,26 @@ class TestGenerateAndCrossValidate:
         assert body["trials"] == 25
         assert body["counterexamples"] == []
         assert "double_b_implies_b_refuted" in body["inclusion_probe"]
+
+
+class TestOptionsPerVerb:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "FILE", "--seed", "1"],
+        ["classify", "FILE", "--budget", "5"],
+        ["generate", "--m", "3", "--n", "2", "--epsilon", "0.5"],
+        ["generate", "--m", "3", "--n", "2", "--budget", "5"],
+        ["cross-validate", "--trials", "2", "--epsilon", "0.5"],
+        ["cross-validate", "--trials", "2", "--budget", "5"],
+    ], ids=("classify-seed", "classify-budget", "generate-epsilon",
+            "generate-budget", "cross-validate-epsilon", "cross-validate-budget"))
+    def test_options_a_verb_does_not_read_are_refused(self, argv, accept_file, capsys):
+        # A verb takes only the options it reads: a report never records a
+        # seed, budget or tolerance that did not run.
+        argv = [accept_file if a == "FILE" else a for a in argv]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
 
 class TestParserReuse:

@@ -13,8 +13,9 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from itensor import cli
+from itensor import cli, make_interval
 from itensor.interval import interval_to_json
+from itensor.tensor import circulant_from_first_row
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -44,3 +45,29 @@ def test_check_calls_the_traced_report_functions(
         monkeypatch.setattr(cli, name, counted)
     assert cli.main(["check", "--class", "interval-double-b", str(path)]) == 0
     assert calls == {"dumps_report": 1, "interval_verdict_report": 1}
+
+
+def test_check_calls_each_class_check_by_name(tmp_path, monkeypatch, capsys):
+    # Each class's check is looked up in cli when it runs, so a wrapper put
+    # on that name (as the tracer puts one) sees the one call.
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"order": 3, "dim": 2,
+                                 "entries": [6, 0, 0, 0, 0, 0, 0, 6]}))
+    family = make_interval(circulant_from_first_row([4, -0.5, 0.25, -0.5], 3, 2),
+                           circulant_from_first_row([5, 0, 0.5, 0], 3, 2))
+    interval = tmp_path / "family.json"
+    interval.write_text(json.dumps(interval_to_json(family)))
+    files = {"tensor": str(point), "interval": str(interval)}
+    for cls, (kind, _, name) in cli.CHECKS.items():
+        calls = Counter()
+
+        def counted(*args, _fn=getattr(cli, name), _calls=calls, **kwargs):
+            _calls[cls] += 1
+            return _fn(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, counted)
+            argv = ["check", "--class", cls, files[kind], "--budget", "50"]
+            assert cli.main(argv) in (0, 1, 2), cls
+        assert calls == {cls: 1}, cls
+    capsys.readouterr()
