@@ -20,9 +20,11 @@ result.
 
 Verdicts are three-valued.  A failing verdict carries a witness holding the
 1-based row, the offending trailing multi-index or row pair, and the two
-sides of the violated inequality, all recomputable from the input.  Strict
-and non-strict comparisons are evaluated exactly by default; an optional
-tolerance ``tol`` relaxes every comparison toward acceptance by that amount.
+sides of the violated inequality, all recomputable from the input.  Every
+criterion inequality is ``beats`` on doubles, ``lhs > rhs - tol`` or ``>=``:
+exact where the sides are, as on the generators' 1/16 grid, while off it a
+side can round and a tie go either way.  A tolerance ``tol`` > 0 relaxes
+every comparison toward acceptance by that amount.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "DoubleBDichotomy",
     "DichotomyAnomaly",
     "B_METHODS",
+    "beats",
     "check_b",
     "check_dd",
     "check_z",
@@ -145,16 +148,12 @@ class DichotomyAnomaly(RuntimeError):
 B_METHODS = ("definition", "rowsum_gamma", "slack")
 
 
-def _gt(lhs: float, rhs: float, tol: float) -> bool:
-    return lhs > rhs - tol
-
-
-def _ge(lhs: float, rhs: float, tol: float) -> bool:
-    return lhs >= rhs - tol
-
-
-def _eq(lhs: float, rhs: float, tol: float) -> bool:
-    return abs(lhs - rhs) <= tol
+def beats(lhs, rhs, tol=0.0, strict=True):
+    """``lhs > rhs - tol`` (``>=`` unless ``strict``), on floats and
+    elementwise on arrays: every criterion inequality of the package."""
+    if tol:
+        rhs = rhs - tol  # x - 0.0 is x, also for -0.0, so tol 0 skips it
+    return lhs > rhs if strict else lhs >= rhs
 
 
 def _slack_parts(A: Tensor, i1: int) -> tuple[float, float]:
@@ -184,16 +183,16 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
         row = A.row_list(i1)
         if method == "definition":
             s = ordered_sum(row)
-            if not _gt(s, 0.0, tol):
+            if not beats(s, 0.0, tol):
                 return _fails(method, i1, "a", s, 0.0)
             mean = s / r
             for f in offdiag_tail_flats(A, i1):
-                if not _gt(mean, row[f], tol):
+                if not beats(mean, row[f], tol):
                     return _fails(method, i1, "b", mean, row[f], tail1(A, f))
         elif method == "rowsum_gamma":
             s = ordered_sum(row)
             g = gamma_plus(A, i1)
-            if not _gt(s, r * g, tol):
+            if not beats(s, r * g, tol):
                 cond, tail = "a", None
                 if g > 0.0:
                     cond = "b"
@@ -204,7 +203,7 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
                 return _fails(method, i1, cond, s, r * g, tail)
         else:  # slack
             lhs, rhs = _slack_parts(A, i1)
-            if not _gt(lhs, rhs, tol):
+            if not beats(lhs, rhs, tol):
                 return _fails(method, i1, "b", lhs, rhs)
     return Verdict(Status.HOLDS, method)
 
@@ -221,14 +220,13 @@ def check_dd(A: Tensor, strict: bool = True, tol: float = 0.0) -> Verdict:
     """Diagonal domination: each diagonal entry exceeds (strict) or reaches
     (weak) the absolute sum of its row's off-diagonal entries."""
     method = "dd_strict" if strict else "dd_weak"
-    cmp = _gt if strict else _ge
     for i1 in range(A.dim):
         row = A.row_list(i1)
         d = row[diag_tail_flat(i1, A.order, A.dim)]
         s = 0.0
         for f in offdiag_tail_flats(A, i1):
             s += abs(row[f])
-        if not cmp(d, s, tol):
+        if not beats(d, s, tol, strict):
             return _fails(method, i1, "a", d, s)
     return Verdict(Status.HOLDS, method)
 
@@ -238,7 +236,7 @@ def check_z(A: Tensor, tol: float = 0.0) -> Verdict:
     for i1 in range(A.dim):
         row = A.row_list(i1)
         for f in offdiag_tail_flats(A, i1):
-            if row[f] > tol:
+            if not beats(0.0, row[f], tol, strict=False):
                 return _fails("offdiag_sign", i1, "a", row[f], 0.0, tail1(A, f))
     return Verdict(Status.HOLDS, "offdiag_sign")
 
@@ -256,17 +254,17 @@ def check_double_b(A: Tensor, tol: float = 0.0) -> Verdict:
     diag = [A.row_list(i)[diag_tail_flat(i, A.order, n)] for i in range(n)]
     parts = [_slack_parts(A, i) for i in range(n)]
     for i1 in range(n):
-        if not _gt(diag[i1], gam[i1], tol):
+        if not beats(diag[i1], gam[i1], tol):
             return _fails("double_b", i1, "a", diag[i1], gam[i1])
     for i1 in range(n):
         lhs, rhs = parts[i1]
-        if not _ge(lhs, rhs, tol):
+        if not beats(lhs, rhs, tol, strict=False):
             return _fails("double_b", i1, "b", lhs, rhs)
     for i1 in range(n):
         for j1 in range(i1 + 1, n):
             lhs = parts[i1][0] * parts[j1][0]
             rhs = parts[i1][1] * parts[j1][1]
-            if not _gt(lhs, rhs, tol):
+            if not beats(lhs, rhs, tol):
                 return _fails("double_b", i1, "c", lhs, rhs, pair_row=j1 + 1)
     return Verdict(Status.HOLDS, "double_b")
 
@@ -275,25 +273,20 @@ def classify_double_b_dichotomy(A: Tensor, tol: float = 0.0) -> DoubleBDichotomy
     """For a double-B tensor, separate the B case from the unique critical row.
 
     A double-B tensor either satisfies every row's strict slack inequality
-    (and is then a B-tensor) or has exactly one row where the slack holds
-    with equality.  Inputs outside the double-B class map to
-    ``not_double_b``; a non-unique equality row raises DichotomyAnomaly.
+    (and is then a B-tensor) or has exactly one critical row, where the
+    slack does not beat the summed gaps, as in ``check_b(A, "slack", tol)``;
+    at tol 0 condition b makes that an equality.  Inputs outside the
+    double-B class map to ``not_double_b``; a non-unique critical row raises
+    DichotomyAnomaly.
     """
     if not check_double_b(A, tol=tol).holds():
         return DoubleBDichotomy("not_double_b")
-    equal_rows = []
-    for i1 in range(A.dim):
-        lhs, rhs = _slack_parts(A, i1)
-        if _eq(lhs, rhs, tol):
-            equal_rows.append(i1)
-    if not equal_rows:
+    rows = [i1 + 1 for i1 in range(A.dim) if not beats(*_slack_parts(A, i1), tol)]
+    if not rows:
         return DoubleBDichotomy("is_b")
-    if len(equal_rows) > 1:
-        raise DichotomyAnomaly(
-            f"slack equality in rows {[i + 1 for i in equal_rows]}, expected one",
-            [i + 1 for i in equal_rows],
-        )
-    return DoubleBDichotomy("critical_row", equal_rows[0] + 1)
+    if len(rows) > 1:
+        raise DichotomyAnomaly(f"slack equality in rows {rows}, expected one", rows)
+    return DoubleBDichotomy("critical_row", rows[0])
 
 
 def check_b_circulant(A: Tensor, tol: float = 0.0) -> Verdict:
@@ -302,7 +295,7 @@ def check_b_circulant(A: Tensor, tol: float = 0.0) -> Verdict:
     if not is_circulant(A):
         raise ValueError("input tensor is not circulant")
     lhs, rhs = _slack_parts(A, 0)
-    if _gt(lhs, rhs, tol):
+    if beats(lhs, rhs, tol):
         return Verdict(Status.HOLDS, "circulant_row")
     return _fails("circulant_row", 0, "b", lhs, rhs)
 

@@ -9,7 +9,8 @@ the options it reads.  ``check`` runs one entry of ``CHECKS``.  Exit codes:
 nested too deeply to parse, an input too large for memory, a tensor order
 above ``tensor.MAX_ORDER``, a ``generate`` or ``cross-validate`` shape
 above ``MAX_SHAPE_ENTRIES`` entries per bound, or a ``cross-validate``
-family with more vertices than the oracle's limit.  The JSON
+family with more vertices than the oracle's limit, or a ``classify``
+whose dichotomy finds more than one critical row.  The JSON
 report goes to stdout (or ``--output``) and is byte-identical across
 identical invocations; a human summary goes to stderr.  Floats are
 printed as decimal doubles with 17 significant digits, infinities and NaN
@@ -26,11 +27,11 @@ ledger.  The key names and order of a record and a group are stated once,
 by their dict forms in ``interval_classify`` (``_record_dict``,
 ``LedgerSummary._dict`` and ``_side_dict``).  ``_template`` writes such a
 form with ``%`` slots (``_Slot``) as its leaves, which gives one template
-per record or group shape, cached by shape, depth and indent; each record
+per record or group shape, cached by shape and depth; each record
 is that template filled from the ledger's columns, each group from its
 group tuple.  The id is filled in like every other leaf, so no template
 text needs escaping.  Row and tail lists are filled in as texts that
-``_write`` wrote, cached per order, dim, depth and indent.
+``_write`` wrote, cached per order, dim and depth.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from types import SimpleNamespace
 from . import __version__
 from .classify import (
     B_METHODS,
+    DichotomyAnomaly,
     Status,
     Verdict,
     check_b,
@@ -169,36 +171,35 @@ def _finite_floats(values: list) -> bool:
     return math.isfinite(sum(values))
 
 
-def _text(x, depth: int, indent: int) -> str:
+def _text(x, depth: int) -> str:
     """``x`` as ``_write`` writes it at ``depth``."""
     out: list[str] = []
-    _write(out, x, depth, indent)
+    _write(out, x, depth)
     return "".join(out)
 
 
 @lru_cache(maxsize=64)
-def _index_texts(order: int, dim: int, depth: int, indent: int) -> tuple:
+def _index_texts(order: int, dim: int, depth: int) -> tuple:
     """The texts of one row and of a tail at ``depth``: a row by its 0-based
     index and a 1-based tail by its flat offset.  The n**2 row pairs are
     ``_pair_texts``."""
     shape = SimpleNamespace(order=order, dim=dim)
     return (
-        tuple(_text((i,), depth, indent) for i in range(1, dim + 1)),
-        tuple(_text(tail1(shape, f), depth, indent)
-              for f in range(dim ** (order - 1))),
+        tuple(_text((i,), depth) for i in range(1, dim + 1)),
+        tuple(_text(tail1(shape, f), depth) for f in range(dim ** (order - 1))),
     )
 
 
 @lru_cache(maxsize=16)
-def _pair_texts(dim: int, depth: int, indent: int) -> tuple:
+def _pair_texts(dim: int, depth: int) -> tuple:
     """The texts of two rows at ``depth``, by both 0-based rows; built only
     for a report that holds a row-pair condition."""
     rows = range(1, dim + 1)
-    return tuple(tuple(_text((i, j), depth, indent) for j in rows) for i in rows)
+    return tuple(tuple(_text((i, j), depth) for j in rows) for i in rows)
 
 
 @lru_cache(maxsize=256)
-def _template(shape: tuple, num: str, depth: int, indent: int) -> str:
+def _template(shape: tuple, num: str, depth: int) -> str:
     """The ``%`` template of a full-ledger record or a summary group at
     ``depth``: its dict form as ``_write`` writes it with slot leaves, ``%s``
     for texts and counts and ``num`` for the sides.  ``shape`` says which
@@ -215,20 +216,20 @@ def _template(shape: tuple, num: str, depth: int, indent: int) -> str:
         form = LedgerSummary._dict(text, text, text, text, *(
             None if on is None else LedgerSummary._side_dict(value, value, *tails(on))
             for on in shape))
-    return _text(form, depth, indent)
+    return _text(form, depth)
 
 
-def _record_lines(view: LedgerDicts, depth: int, indent: int) -> list[str]:
+def _record_lines(view: LedgerDicts, depth: int) -> list[str]:
     """The records of ``view`` at ``depth``, filled into one template per
     ledger block from its columns."""
     ledger = view.ledger
-    one_row, tails = _index_texts(ledger.order, ledger.dim, depth + 1, indent)
+    one_row, tails = _index_texts(ledger.order, ledger.dim, depth + 1)
     lines = []
     for b in ledger.blocks:
         if b.pair_rows is None:
             rows = [one_row[i] for i in b.column("rows")]
         else:
-            two_rows = _pair_texts(ledger.dim, depth + 1, indent)
+            two_rows = _pair_texts(ledger.dim, depth + 1)
             pairs = zip(b.column("rows"), b.column("pair_rows"))
             rows = [two_rows[i][j] for i, j in pairs]
         # lhs, rhs and passed have the grid's shape.
@@ -240,18 +241,18 @@ def _record_lines(view: LedgerDicts, depth: int, indent: int) -> list[str]:
         cols = [repeat(encode_basestring_ascii(b.condition)), rows, lhs, rhs,
                 ["true" if ok else "false" for ok in passed]]
         cols += [[tails[f] for f in col] for col in at if col is not None]
-        tmpl = _template(tuple(col is not None for col in at), num, depth, indent)
+        tmpl = _template(tuple(col is not None for col in at), num, depth)
         lines += [tmpl % fields for fields in zip(*cols)]
     return lines
 
 
-def _group_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
+def _group_lines(view: LedgerSummary, depth: int) -> list[str]:
     """The groups of ``view`` at ``depth``, filled from the group tuples into
     one template per group shape."""
-    one_row = _index_texts(view.order, view.dim, depth + 1, indent)[0]
-    tails = _index_texts(view.order, view.dim, depth + 2, indent)[1]
+    one_row = _index_texts(view.order, view.dim, depth + 1)[0]
+    tails = _index_texts(view.order, view.dim, depth + 2)[1]
     if any(g[2] >= 0 for g in view.groups):
-        two_rows = _pair_texts(view.dim, depth + 1, indent)
+        two_rows = _pair_texts(view.dim, depth + 1)
     values = [x for g in view.groups for s in g[5:] if s is not None for x in s[:2]]
     num = "%.17g"
     if not _finite_floats(values):
@@ -273,11 +274,11 @@ def _group_lines(view: LedgerSummary, depth: int, indent: int) -> list[str]:
                 fields.append(tails[tail])
             if pair_tail is not None:
                 fields.append(tails[pair_tail])
-        lines.append(_template(tuple(shape), num, depth, indent) % tuple(fields))
+        lines.append(_template(tuple(shape), num, depth) % tuple(fields))
     return lines
 
 
-def _write(out: list, x, depth: int, indent: int) -> None:
+def _write(out: list, x, depth: int) -> None:
     """Append ``x`` to ``out`` as JSON at ``depth``; a condition ledger
     (``LedgerDicts``) or its summary (``LedgerSummary``) is filled into
     templates, building no dict."""
@@ -285,36 +286,37 @@ def _write(out: list, x, depth: int, indent: int) -> None:
         if not x:
             out.append("{}")
             return
-        pad_in = " " * (indent * (depth + 1))
+        pad_in = "  " * (depth + 1)
         sep = "{\n"
         for k, v in x.items():
             out.append(f"{sep}{pad_in}{encode_basestring_ascii(str(k))}: ")
-            _write(out, v, depth + 1, indent)
+            _write(out, v, depth + 1)
             sep = ",\n"
-        out.append("\n" + " " * (indent * depth) + "}")
+        out.append("\n" + "  " * depth + "}")
     elif isinstance(x, (list, tuple, LedgerDicts, LedgerSummary)):
         if not x:
             out.append("[]")
             return
-        pad_in = " " * (indent * (depth + 1))
+        pad_in = "  " * (depth + 1)
         out.append("[\n")
         if isinstance(x, (LedgerDicts, LedgerSummary)):
             fill = _record_lines if isinstance(x, LedgerDicts) else _group_lines
-            out += (pad_in, (",\n" + pad_in).join(fill(x, depth + 1, indent)))
+            out += (pad_in, (",\n" + pad_in).join(fill(x, depth + 1)))
         else:
             for k, v in enumerate(x):
                 out.append(",\n" + pad_in if k else pad_in)
-                _write(out, v, depth + 1, indent)
-        out.append("\n" + " " * (indent * depth) + "]")
+                _write(out, v, depth + 1)
+        out.append("\n" + "  " * depth + "]")
     else:
         out.append(_scalar(x))
 
 
-def dumps_report(obj, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits: the pieces
-    ``_write`` appends to one list, joined once."""
+def dumps_report(obj) -> str:
+    """Deterministic JSON, indented by two spaces, with floats at 17
+    significant digits: the pieces ``_write`` appends to one list, joined
+    once."""
     out: list[str] = []
-    _write(out, obj, 0, indent)
+    _write(out, obj, 0)
     out.append("\n")
     return "".join(out)
 
@@ -607,15 +609,12 @@ def main(argv=None) -> int:
         )
         _emit(args, envelope, summary)
         return EXIT_HOLDS if failures == 0 else EXIT_FAILS
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceeded as exc:
         # required is 2**k, whose decimal form can exceed int-to-str's digit limit.
         required = f"2**{exc.required.bit_length() - 1}"
         print(f"error: {exc} (required budget {required})", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError, DichotomyAnomaly) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

@@ -59,6 +59,7 @@ from .classify import (
     Verdict,
     Witness,
     DichotomyAnomaly,
+    beats,
     check_double_b,
     verdict_report,
 )
@@ -703,10 +704,9 @@ def _kernel(AI: IntervalTensor) -> _RowKernel:
 
 
 def _block(condition, lhs, rhs, tol, strict=True, **index) -> LedgerBlock:
-    """The records of one condition, ``lhs > rhs - tol`` (``>=`` unless
-    ``strict``); ``index`` holds the index columns."""
-    rhs_tol = rhs - tol if tol else rhs  # x - 0.0 is x, also for -0.0
-    passed = lhs > rhs_tol if strict else lhs >= rhs_tol
+    """The records of one condition, passed where ``beats(lhs, rhs, tol,
+    strict)``; ``index`` holds the index columns."""
+    passed = beats(lhs, rhs, tol, strict)
     return LedgerBlock(condition, lhs=lhs, rhs=rhs, passed=passed, **index)
 
 
@@ -1003,7 +1003,7 @@ def check_interval_double_b_hat_sufficient(
     if lod.shape[1]:
         # The first largest entry, as Python's max picks it among equal zeros.
         maxl = lod[np.arange(AI.dim), lod.argmax(axis=1)]
-        ok = maxl >= 0.0 - tol
+        ok = beats(maxl, 0.0, tol, strict=False)
         if not ok.all():
             i = int(ok.argmin())
             witness = Witness(i + 1, "hypothesis", maxl[i].item(), 0.0)

@@ -26,7 +26,7 @@ every row at once; the scan stops at the first block holding a failure.
 The array forms repeat the scalar checks' arithmetic operation for
 operation on the same doubles: sums add the columns in ascending offset
 order from +0.0, the row maximum is kept with ``np.where(x > g, x, g)``,
-products and the comparisons ``lhs > rhs - tol`` / ``>=`` are elementwise,
+products are elementwise, every comparison is ``classify.beats`` on arrays,
 and the first failure is read in the scalar scan order (conditions a, b,
 c; by row, then by row pair).  So the verdict, the first failing vertex,
 its witness and ``vertices_checked`` are bit for bit those of checking one
@@ -58,6 +58,7 @@ from .classify import (
     Status,
     Verdict,
     Witness,
+    beats,
     check_b,
     check_double_b,
     classify_double_b_dichotomy,
@@ -204,7 +205,7 @@ def _b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
 
     Row sums add the columns in ascending offset order starting from +0.0,
     as the scalar check's ``ordered_sum`` does on every Python version,
-    and each test is ``not lhs > rhs - tol`` on the same doubles, so the
+    and each test is ``not beats(lhs, rhs, tol)`` on the same doubles, so the
     witness is bit for bit the scalar one.
     """
     m, n = AI.order, AI.dim
@@ -217,8 +218,8 @@ def _b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
     mean = total / r
     # Per member: row by row, condition a then condition b by offset.
     fails = np.empty((len(rows), n, r + 1), dtype=bool)
-    fails[:, :, 0] = ~(total > 0.0 - tol)
-    fails[:, :, 1:] = ~(mean[:, :, None] > block - tol)
+    fails[:, :, 0] = ~beats(total, 0.0, tol)
+    fails[:, :, 1:] = ~beats(mean[:, :, None], block, tol)
     fails[:, np.arange(n), 1 + diag] = False
     hit = _first_failure(fails.reshape(len(rows), -1))
     if hit is None:
@@ -262,10 +263,9 @@ def _double_b_failure(rows: np.ndarray, AI: IntervalTensor, tol: float):
     lhs_c = surplus[:, pair_i] * surplus[:, pair_j]
     rhs_c = gaps[:, pair_i] * gaps[:, pair_j]
     # Per member: condition a by row, b by row, then c by row pair.
-    fails = np.concatenate(
-        [~(d > gam - tol), ~(surplus >= gaps - tol), ~(lhs_c > rhs_c - tol)],
-        axis=1,
-    )
+    fails = ~np.concatenate([
+        beats(d, gam, tol), beats(surplus, gaps, tol, strict=False),
+        beats(lhs_c, rhs_c, tol)], axis=1)
     hit = _first_failure(fails)
     if hit is None:
         return None

@@ -66,10 +66,9 @@ class TestDumpsReport:
             rep = interval_verdict_report(v, "x")
             assert isinstance(rep["conditions"], LedgerDicts)
             for conditions in (v.conditions.summary_view(), rep["conditions"]):
-                for indent in (2, 3):
-                    as_dicts = dict(rep, conditions=list(conditions))
-                    texts.append(dumps_report(dict(rep, conditions=conditions), indent))
-                    assert texts[-1] == dumps_report(as_dicts, indent)
+                as_dicts = dict(rep, conditions=list(conditions))
+                texts.append(dumps_report(dict(rep, conditions=conditions)))
+                assert texts[-1] == dumps_report(as_dicts)
         assert any(": -0,\n" in text for text in texts)
         assert any(": Infinity,\n" in text for text in texts)
 
@@ -81,9 +80,8 @@ class TestDumpsReport:
         ledger = Ledger([LedgerBlock("a", np.arange(2), np.array([side, 2.5]),
                                      np.array([1.0, side]), np.array([True, False]))],
                         3, 2)
-        for indent in (2, 3):
-            text = dumps_report({"c": ledger.dicts()}, indent)
-            assert text == dumps_report({"c": list(ledger.dicts())}, indent)
+        text = dumps_report({"c": ledger.dicts()})
+        assert text == dumps_report({"c": list(ledger.dicts())})
         assert f'"lhs": {token},\n' in text
 
 
@@ -102,10 +100,9 @@ class TestDumpsReport:
         ]
         ledger = Ledger(blocks, 3, 2)
         for conditions in (ledger.dicts(), ledger.summary_view()):
-            for indent in (2, 3):
-                text = dumps_report({"c": conditions}, indent)
-                assert text == dumps_report({"c": list(conditions)}, indent)
-                assert '"c%d \\"%s\\" \\u00e9\\u2603%"' in text
+            text = dumps_report({"c": conditions})
+            assert text == dumps_report({"c": list(conditions)})
+            assert '"c%d \\"%s\\" \\u00e9\\u2603%"' in text
 
 
 class TestCheckVerb:
@@ -478,6 +475,33 @@ class TestClassifyVerb:
 
     def test_not_double_b_exit(self, reject_file, capsys):
         assert main(["classify", reject_file]) == 1
+
+    def test_point_dichotomy_under_epsilon(self, tmp_path, capsys):
+        # Every row of the zero tensor beats its gaps by the tolerance, so
+        # it is B at epsilon 0.5, as `check --class b` says.
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"order": 2, "dim": 2, "entries": [0, 0, 0, 0]}))
+        assert main(["check", "--class", "b", "--epsilon", "0.5", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--epsilon", "0.5", str(path)]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["report"]["kind"] == "is_b"
+        assert out.err == "kind is_b\n"
+
+    def test_dichotomy_anomaly_is_a_usage_error(self, accept_file, capsys,
+                                                monkeypatch):
+        import itensor.cli as cli
+        from itensor import DichotomyAnomaly
+
+        def anomaly(AI, tol=0.0):
+            raise DichotomyAnomaly("critical-row conditions fail in rows [1, 2]",
+                                   [1, 2])
+
+        monkeypatch.setattr(cli, "classify_interval_double_b_dichotomy", anomaly)
+        assert main(["classify", accept_file]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: critical-row conditions fail in rows [1, 2]\n"
 
 
 class TestGenerateAndCrossValidate:

@@ -35,7 +35,7 @@ from itensor import (
     make_tensor,
     random_interval_tensor,
 )
-from itensor.classify import _ge, _gt, check_double_b
+from itensor.classify import check_double_b
 from itensor.interval import extreme_hat, is_interval_z
 from itensor.interval_classify import INTERVAL_B_METHODS
 from itensor.tensor import (
@@ -48,6 +48,15 @@ from itensor.tensor import (
 )
 
 TOLS = (0.0, 1e-9, 0.5)
+
+
+# The comparisons, stated here rather than imported from the library.
+def _gt(lhs, rhs, tol):
+    return lhs > rhs - tol
+
+
+def _ge(lhs, rhs, tol):
+    return lhs >= rhs - tol
 SHAPES = ((3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (4, 3), (3, 8))
 
 
