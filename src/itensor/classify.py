@@ -6,17 +6,22 @@ class with its three named conditions, the double-B trichotomy, the
 single-row criterion for circulant tensors, P-tensor sufficiency, and a
 deterministic sampling falsifier for the P property.
 
+Every point criterion reads its rows from one pass, ``_rows``: per row the
+entries, the off-diagonal offsets, the diagonal entry, gamma_plus (the
+nonnegative off-diagonal maximum) and the summed gaps to it.  Each criterion
+keeps its own formula, witness and order of operations over those.
+
 The falsifier's candidates depend only on (dim, budget, seed) and the block
 length.  A candidate set of at most ``P_BLOCK_ENTRIES`` entries (512 KB) is
-drawn once and replayed to every later call with the same key, so the
-members of one family share one draw, and larger sets are drawn anew on
-every call.  When the whole set's Kronecker power at the tensor's order has
-at most twice as many entries (1 MB), each block's contiguous transpose and
-power are kept with it, so a replayed call is one matrix product per block.
-The last 16 sets are kept: 512 KB of candidates and at most 1.5 MB of
-transposes and powers each, 32 MB in all.  Candidates, block boundaries, the
-exact recheck and the early stop are the same either way, and so is every
-result.
+drawn whole by the first call with its key and kept, read-only, for every
+later one, so the members of one family share one draw; larger sets are
+drawn block by block on every call.  When the set's Kronecker power at the
+tensor's order has at most twice as many entries (1 MB), each block's
+contiguous transpose and power are kept too, so a later call is one matrix
+product per block.  The last 16 sets and 16 powers are kept: 512 KB and at
+most 1.5 MB each, 32 MB in all.  A draw or build that raises keeps nothing,
+and nothing kept is written to, so threads share it without a lock.  Every
+result is the same either way.
 
 Verdicts are three-valued.  A failing verdict carries a witness holding the
 1-based row, the offending trailing multi-index or row pair, and the two
@@ -30,7 +35,6 @@ every comparison toward acceptance by that amount.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -47,6 +51,7 @@ from .tensor import (
     kron_power_t,
     offdiag_tail_flats,
     ordered_sum,
+    read_only,
     tail1,
     tensor_apply,
     tensor_apply_many,
@@ -156,15 +161,18 @@ def beats(lhs, rhs, tol=0.0, strict=True):
     return lhs > rhs if strict else lhs >= rhs
 
 
-def _slack_parts(A: Tensor, i1: int) -> tuple[float, float]:
-    """(diag - gamma_plus, sum of (gamma_plus - entry) over off-diagonal)."""
-    row = A.row_list(i1)
-    g = gamma_plus(A, i1)
-    d = row[diag_tail_flat(i1, A.order, A.dim)]
-    s = 0.0
-    for f in offdiag_tail_flats(A, i1):
-        s += g - row[f]
-    return d - g, s
+def _rows(A: Tensor) -> Iterator[tuple]:
+    """Per row of A, in order: (0-based index, entries, off-diagonal
+    offsets, diagonal entry, gamma_plus, summed gaps to gamma_plus).  The
+    gaps add the off-diagonal positions in ascending order from +0.0."""
+    for i1 in range(A.dim):
+        row = A.row_list(i1)
+        offs = offdiag_tail_flats(A, i1)
+        g = gamma_plus(A, i1)
+        gaps = 0.0
+        for f in offs:
+            gaps += g - row[f]
+        yield i1, row, offs, row[diag_tail_flat(i1, A.order, A.dim)], g, gaps
 
 
 def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
@@ -179,52 +187,40 @@ def check_b(A: Tensor, method: str = "definition", tol: float = 0.0) -> Verdict:
     if method not in B_METHODS:
         raise ValueError(f"unknown B method {method!r}")
     r = A.row_len
-    for i1 in range(A.dim):
-        row = A.row_list(i1)
+    for i1, row, offs, d, g, gaps in _rows(A):
         if method == "definition":
             s = ordered_sum(row)
             if not beats(s, 0.0, tol):
                 return _fails(method, i1, "a", s, 0.0)
             mean = s / r
-            for f in offdiag_tail_flats(A, i1):
+            for f in offs:
                 if not beats(mean, row[f], tol):
                     return _fails(method, i1, "b", mean, row[f], tail1(A, f))
         elif method == "rowsum_gamma":
             s = ordered_sum(row)
-            g = gamma_plus(A, i1)
             if not beats(s, r * g, tol):
                 cond, tail = "a", None
                 if g > 0.0:
                     cond = "b"
-                    for f in offdiag_tail_flats(A, i1):
-                        if row[f] == g:
-                            tail = tail1(A, f)
-                            break
+                    tail = tail1(A, next(f for f in offs if row[f] == g))
                 return _fails(method, i1, cond, s, r * g, tail)
-        else:  # slack
-            lhs, rhs = _slack_parts(A, i1)
-            if not beats(lhs, rhs, tol):
-                return _fails(method, i1, "b", lhs, rhs)
+        elif not beats(d - g, gaps, tol):  # slack
+            return _fails(method, i1, "b", d - g, gaps)
     return Verdict(Status.HOLDS, method)
 
 
-def _fails(method, i1, cond, lhs, rhs, tail=None, pair_row=None, pair_tail=None):
-    return Verdict(
-        Status.FAILS,
-        method,
-        Witness(i1 + 1, cond, lhs, rhs, tail, pair_row, pair_tail),
-    )
+def _fails(method, i1, cond, lhs, rhs, tail=None, pair_row=None):
+    witness = Witness(i1 + 1, cond, lhs, rhs, tail, pair_row)
+    return Verdict(Status.FAILS, method, witness)
 
 
 def check_dd(A: Tensor, strict: bool = True, tol: float = 0.0) -> Verdict:
     """Diagonal domination: each diagonal entry exceeds (strict) or reaches
     (weak) the absolute sum of its row's off-diagonal entries."""
     method = "dd_strict" if strict else "dd_weak"
-    for i1 in range(A.dim):
-        row = A.row_list(i1)
-        d = row[diag_tail_flat(i1, A.order, A.dim)]
+    for i1, row, offs, d, _, _ in _rows(A):
         s = 0.0
-        for f in offdiag_tail_flats(A, i1):
+        for f in offs:
             s += abs(row[f])
         if not beats(d, s, tol, strict):
             return _fails(method, i1, "a", d, s)
@@ -233,9 +229,8 @@ def check_dd(A: Tensor, strict: bool = True, tol: float = 0.0) -> Verdict:
 
 def check_z(A: Tensor, tol: float = 0.0) -> Verdict:
     """Z membership: every off-diagonal entry <= 0."""
-    for i1 in range(A.dim):
-        row = A.row_list(i1)
-        for f in offdiag_tail_flats(A, i1):
+    for i1, row, offs, *_ in _rows(A):
+        for f in offs:
             if not beats(0.0, row[f], tol, strict=False):
                 return _fails("offdiag_sign", i1, "a", row[f], 0.0, tail1(A, f))
     return Verdict(Status.HOLDS, "offdiag_sign")
@@ -249,23 +244,19 @@ def check_double_b(A: Tensor, tol: float = 0.0) -> Verdict:
     (c) per row pair, the product of surpluses strictly exceeds the product
     of summed gaps.  Conditions are scanned in the order a, b, c.
     """
-    n = A.dim
-    gam = [gamma_plus(A, i) for i in range(n)]
-    diag = [A.row_list(i)[diag_tail_flat(i, A.order, n)] for i in range(n)]
-    parts = [_slack_parts(A, i) for i in range(n)]
-    for i1 in range(n):
-        if not beats(diag[i1], gam[i1], tol):
-            return _fails("double_b", i1, "a", diag[i1], gam[i1])
-    for i1 in range(n):
-        lhs, rhs = parts[i1]
+    rows = list(_rows(A))
+    for i1, _, _, d, g, _ in rows:
+        if not beats(d, g, tol):
+            return _fails("double_b", i1, "a", d, g)
+    parts = [(d - g, gaps) for _, _, _, d, g, gaps in rows]
+    for i1, (lhs, rhs) in enumerate(parts):
         if not beats(lhs, rhs, tol, strict=False):
             return _fails("double_b", i1, "b", lhs, rhs)
-    for i1 in range(n):
-        for j1 in range(i1 + 1, n):
-            lhs = parts[i1][0] * parts[j1][0]
-            rhs = parts[i1][1] * parts[j1][1]
-            if not beats(lhs, rhs, tol):
-                return _fails("double_b", i1, "c", lhs, rhs, pair_row=j1 + 1)
+    for i1, j1 in itertools.combinations(range(A.dim), 2):
+        lhs = parts[i1][0] * parts[j1][0]
+        rhs = parts[i1][1] * parts[j1][1]
+        if not beats(lhs, rhs, tol):
+            return _fails("double_b", i1, "c", lhs, rhs, pair_row=j1 + 1)
     return Verdict(Status.HOLDS, "double_b")
 
 
@@ -281,7 +272,7 @@ def classify_double_b_dichotomy(A: Tensor, tol: float = 0.0) -> DoubleBDichotomy
     """
     if not check_double_b(A, tol=tol).holds():
         return DoubleBDichotomy("not_double_b")
-    rows = [i1 + 1 for i1 in range(A.dim) if not beats(*_slack_parts(A, i1), tol)]
+    rows = [i1 + 1 for i1, _, _, d, g, gaps in _rows(A) if not beats(d - g, gaps, tol)]
     if not rows:
         return DoubleBDichotomy("is_b")
     if len(rows) > 1:
@@ -294,10 +285,10 @@ def check_b_circulant(A: Tensor, tol: float = 0.0) -> Verdict:
     inequality decides membership for the whole tensor."""
     if not is_circulant(A):
         raise ValueError("input tensor is not circulant")
-    lhs, rhs = _slack_parts(A, 0)
-    if beats(lhs, rhs, tol):
+    _, _, _, d, g, gaps = next(_rows(A))
+    if beats(d - g, gaps, tol):
         return Verdict(Status.HOLDS, "circulant_row")
-    return _fails("circulant_row", 0, "b", lhs, rhs)
+    return _fails("circulant_row", 0, "b", d - g, gaps)
 
 
 def p_sufficient(A: Tensor, tol: float = 0.0) -> Verdict:
@@ -345,70 +336,21 @@ def _p_blocks(n: int, budget: int, seed: int, rows: int) -> Iterator[np.ndarray]
         yield draws / norms
 
 
-class _Replay:
-    """``_p_blocks(*key)`` drawn once and replayed: ``blocks`` holds the
-    blocks drawn so far, read-only, and the generator continues the stream.
-    Each block is drawn by the first iteration to reach it, so an early
-    stop leaves the later blocks undrawn.  ``powers`` holds, per (block
-    index, order), the block's contiguous transpose and its transposed
-    Kronecker power, read-only, built by the first ``power`` call."""
-
-    def __init__(self, key: tuple[int, int, int, int]):
-        self.key = key
-        self.blocks: list[np.ndarray] = []
-        self.powers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._source = _p_blocks(*key)
-        self._lock = threading.Lock()
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        k = 0
-        while True:
-            if k == len(self.blocks):
-                with self._lock:
-                    if k == len(self.blocks) and not self._draw():
-                        return
-            yield self.blocks[k]
-            k += 1
-
-    def _draw(self) -> bool:
-        try:
-            X = next(self._source, None)
-        except BaseException:
-            # A draw cut short (an interrupt, no memory) ends the generator:
-            # restart it past the blocks already kept.
-            self._source = itertools.islice(
-                _p_blocks(*self.key), len(self.blocks), None)
-            raise
-        if X is None:
-            return False
-        X.flags.writeable = False
-        self.blocks.append(X)
-        return True
-
-    def power(self, k: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(contiguous X.T, ``kron_power_t(X.T, order)``) of block k, kept
-        only once both are built."""
-        got = self.powers.get((k, order))
-        if got is None:
-            with self._lock:
-                got = self.powers.get((k, order))
-                if got is None:
-                    XT = np.ascontiguousarray(self.blocks[k].T)
-                    got = (XT, kron_power_t(XT, order))
-                    for arr in got:
-                        arr.flags.writeable = False
-                    self.powers[k, order] = got
-        return got
+@lru_cache(maxsize=16)
+def _p_stream(n: int, budget: int, seed: int, rows: int) -> tuple[np.ndarray, ...]:
+    """The whole ``_p_blocks`` set of the key, drawn at once, read-only."""
+    return tuple(map(read_only, _p_blocks(n, budget, seed, rows)))
 
 
 @lru_cache(maxsize=16)
-def _p_stream(n: int, budget: int, seed: int, rows: int) -> _Replay:
-    return _Replay((n, budget, seed, rows))
-
-
-# Held around ``_p_stream``: two threads missing the cache at once would
-# otherwise each get a replay of their own, and each keep its own blocks.
-_p_stream_lock = threading.Lock()
+def _p_powers(key: tuple[int, int, int, int], order: int) -> tuple:
+    """Per block of ``_p_stream(*key)``: (contiguous X.T,
+    ``kron_power_t(X.T, order)``), read-only."""
+    out = []
+    for X in _p_stream(*key):
+        XT = read_only(np.ascontiguousarray(X.T))
+        out.append((XT, read_only(kron_power_t(XT, order))))
+    return tuple(out)
 
 
 def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
@@ -419,27 +361,31 @@ def falsify_p(A: Tensor, budget: int, seed: int) -> FalsifyResult:
     (by index, under the exact entrywise evaluation) is reported; the scan
     stops at the first block holding one.  Absence of a falsifier is not a
     membership certificate.  With an integer seed, a candidate set of at
-    most ``P_BLOCK_ENTRIES`` entries is replayed from ``_p_stream``; when
-    its whole Kronecker power has at most twice that many entries, each
-    block's power is replayed too and the contraction is one product.
+    most ``P_BLOCK_ENTRIES`` entries is drawn whole once and reused from
+    ``_p_stream``; when its whole Kronecker power has at most twice that
+    many entries, each block's power is reused from ``_p_powers`` too and
+    the contraction is one product.  A negative integer seed raises
+    ValueError before anything is drawn.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    integer = isinstance(seed, (int, np.integer))
+    if integer and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # Batched accumulation order can differ from tensor_apply by a few ulps;
     # anything at or below this margin is re-decided exactly.
     margin = 1e-9 * (1.0 + float(np.max(np.abs(A.entries))) * A.row_len)
-    n, rows = A.dim, max(1, P_BLOCK_ENTRIES // A.row_len)
+    n = A.dim
+    key = (n, budget, seed, max(1, P_BLOCK_ENTRIES // A.row_len))
     count = 2 * n + (1 << n if n <= 20 else 0) + budget
-    kept = count * n <= P_BLOCK_ENTRIES and isinstance(seed, (int, np.integer))
-    replay_power = kept and count * A.row_len <= 2 * P_BLOCK_ENTRIES
-    if kept:
-        with _p_stream_lock:
-            stream = _p_stream(n, budget, seed, rows)
-    else:
-        stream = _p_blocks(n, budget, seed, rows)
+    kept = integer and count * n <= P_BLOCK_ENTRIES
+    stream = _p_stream(*key) if kept else _p_blocks(*key)
+    powers = ()
+    if kept and count * A.row_len <= 2 * P_BLOCK_ENTRIES:
+        powers = _p_powers(key, A.order)
     seen = 0
     for k, X in enumerate(stream):
-        XT, power = stream.power(k, A.order) if replay_power else (X.T, None)
+        XT, power = powers[k] if powers else (X.T, None)
         # Reduced over the transposed views, which is faster; the order of
         # a maximum changes at most the sign of a zero, which the filter
         # below ignores.

@@ -413,6 +413,8 @@ def _run_check(args):
         raise UsageError(f"class {cls} needs {_FILES[kind]}, got {_FILES[got]}")
     check = globals()[name]
     if cls == "p-falsify":
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         res = check(data, budget=args.budget, seed=args.seed)
         status = Status.FAILS if res.falsified else Status.INCONCLUSIVE
         report = {

@@ -70,7 +70,7 @@ from .interval import (
     is_interval_z,
     is_symmetric_interval,
 )
-from .tensor import is_circulant, row_layout, tail1
+from .tensor import is_circulant, read_only, row_layout, tail1
 
 __all__ = [
     "ConditionRecord",
@@ -551,11 +551,6 @@ class NecessaryReport:
     member_verdicts: tuple[tuple[str, Verdict], ...] = ()
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # The most entries a kernel or summary temporary holds: larger quantities
 # are built in slices of rows (or groups) of at most this many entries, at
 # least one row each, so memory stays bounded at large n**(m-1).
@@ -570,7 +565,7 @@ def _by_rows(n: int, per_row: int, part) -> np.ndarray:
     if step >= n:
         return part(slice(0, n))
     parts = [part(slice(lo, lo + step)) for lo in range(0, n, step)]
-    return _frozen(np.concatenate(parts))
+    return read_only(np.concatenate(parts))
 
 
 class _Layout(NamedTuple):
@@ -586,12 +581,12 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=32)
 def _layout(order: int, dim: int) -> _Layout:
     od = row_layout(order, dim).od
-    q, rows = od.shape[1], _frozen(np.arange(dim))
+    q, rows = od.shape[1], read_only(np.arange(dim))
     return _Layout(
         {"rows": rows},
         {"rows": rows[:, None], "tails": od},
-        _frozen(np.zeros(dim)),
-        _frozen(np.arange(dim * q) * (q + 1) + od.ravel()),
+        read_only(np.zeros(dim)),
+        read_only(np.arange(dim * q) * (q + 1) + od.ravel()),
     )
 
 
@@ -604,9 +599,9 @@ def _pair_layout(order: int, dim: int) -> tuple[dict, dict, dict]:
     od, iu, ju, ii, jj = lay.od, lay.iu, lay.ju, lay.ii, lay.jj
     return (
         {"rows": iu[:, None, None], "pair_rows": ju[:, None, None],
-         "tails": _frozen(od[iu][:, :, None]),
-         "pair_tails": _frozen(od[ju][:, None, :])},
-        {"rows": ii[:, None], "pair_rows": jj[:, None], "tails": _frozen(od[ii])},
+         "tails": read_only(od[iu][:, :, None]),
+         "pair_tails": read_only(od[ju][:, None, :])},
+        {"rows": ii[:, None], "pair_rows": jj[:, None], "tails": read_only(od[ii])},
         {"rows": iu, "pair_rows": ju},
     )
 
@@ -617,8 +612,8 @@ def _ordered_sum(x: np.ndarray) -> np.ndarray:
     when every term is -0.0, and adding +0.0 mends that.  A term left out
     is set to +0.0, not multiplied by a mask (inf * 0 is NaN)."""
     if not x.shape[-1]:
-        return _frozen(np.zeros(x.shape[:-1]))
-    return _frozen(np.add.accumulate(x, axis=-1)[..., -1] + 0.0)
+        return read_only(np.zeros(x.shape[:-1]))
+    return read_only(np.add.accumulate(x, axis=-1)[..., -1] + 0.0)
 
 
 def _pos(x: np.ndarray) -> np.ndarray:
@@ -641,9 +636,9 @@ class _RowKernel:
         self.idx = row_layout(AI.order, AI.dim)
         self.lay = _layout(AI.order, AI.dim)
         lower, upper = AI.lower.entries, AI.upper.entries
-        self.ldiag = _frozen(lower[self.idx.diag_flat])  # lower diagonals
-        self.lod = _frozen(lower[self.idx.od_flat])  # lower off-diagonals
-        self.uod = _frozen(upper[self.idx.od_flat])  # upper off-diagonals
+        self.ldiag = read_only(lower[self.idx.diag_flat])  # lower diagonals
+        self.lod = read_only(lower[self.idx.od_flat])  # lower off-diagonals
+        self.uod = read_only(upper[self.idx.od_flat])  # upper off-diagonals
 
     @cached_property
     def total(self) -> np.ndarray:  # lower row sums over every position
@@ -683,17 +678,17 @@ class _RowKernel:
 
     @cached_property
     def gap(self) -> np.ndarray:  # lower diagonal - upper off-diagonal
-        return _frozen(self.ldiag[:, None] - self.uod)
+        return read_only(self.ldiag[:, None] - self.uod)
 
     @cached_property
     def upos(self) -> np.ndarray:  # max(0, every upper off-diagonal)
-        return _frozen(_pos(self.uod.max(axis=1, initial=0.0)))
+        return read_only(_pos(self.uod.max(axis=1, initial=0.0)))
 
     @cached_property
     def negl(self) -> np.ndarray:  # minus the lower off-diagonal sum
         if not self.lod.shape[1]:  # +0.0, not minus an empty sum
             return self.lay.zeros
-        return _frozen(-_ordered_sum(self.lod))
+        return read_only(-_ordered_sum(self.lod))
 
 
 def _kernel(AI: IntervalTensor) -> _RowKernel:

@@ -219,7 +219,8 @@ class RowLayout(NamedTuple):
     od_flat: np.ndarray  # (n, q) flat entry positions of ``od``
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
     arr.setflags(write=False)
     return arr
 
@@ -235,7 +236,7 @@ def row_layout(order: int, dim: int) -> RowLayout:
     ii, jj = np.nonzero(~np.eye(dim, dtype=bool))
     start = np.arange(dim) * r
     fields = (diag, od, offdiag, iu, ju, ii, jj, start + diag, start[:, None] + od)
-    return RowLayout(*map(_read_only, fields))
+    return RowLayout(*map(read_only, fields))
 
 
 def _digits(order: int, dim: int) -> np.ndarray:
@@ -255,7 +256,7 @@ def _to_flat(digits: np.ndarray, dim: int) -> np.ndarray:
 def orbit_map(order: int, dim: int) -> np.ndarray:
     """For each flat position, the position of its multi-index sorted
     ascending: one representative per orbit under index permutations."""
-    return _read_only(_to_flat(np.sort(_digits(order, dim), axis=0), dim))
+    return read_only(_to_flat(np.sort(_digits(order, dim), axis=0), dim))
 
 
 @lru_cache(maxsize=32)
@@ -264,7 +265,7 @@ def circulant_source(order: int, dim: int) -> np.ndarray:
     ((i2 - i1) mod n, ..., (im - i1) mod n): the row-0 entry a circulant
     tensor repeats there."""
     digits = _digits(order, dim)
-    return _read_only(_to_flat((digits[1:] - digits[0]) % dim, dim))
+    return read_only(_to_flat((digits[1:] - digits[0]) % dim, dim))
 
 
 def _check_row_index(A: Tensor, i1: int) -> None:

@@ -6,9 +6,11 @@ it was before it streamed its candidates: every candidate built at once
 of them, then the exact recheck in index order.  The streamed falsifier
 must return the same ``FalsifyResult``: the same verdict, the same
 counterexample bit for bit and the same ``samples_used``, also when its
-candidates are replayed from a kept stream (``classify._p_stream``).
+candidates and their powers are reused from the kept sets
+(``classify._p_stream`` and ``classify._p_powers``).
 """
 
+import json
 import sys
 import threading
 import time
@@ -29,7 +31,8 @@ from itensor import (
 )
 from itensor import classify
 from itensor.classify import FalsifyResult
-from itensor.tensor import tensor_apply_many
+from itensor.cli import main
+from itensor.tensor import tensor_apply_many, tensor_to_json
 
 
 def reference_candidates(n, budget, seed):
@@ -213,32 +216,40 @@ def test_apply_many_within_falsifier_margin(m):
         assert np.max(np.abs(reference_apply_many(T, X) - exact)) < margin / 1000
 
 
-# ------------------------------------------------ replayed candidate streams
+# ---------------------------------------------------- kept candidate sets
 
 
 @pytest.fixture
-def fresh_streams():
-    classify._p_stream.cache_clear()
-    yield classify._p_stream
-    classify._p_stream.cache_clear()
+def fresh_caches():
+    for cache in (classify._p_stream, classify._p_powers):
+        cache.cache_clear()
+    yield
+    for cache in (classify._p_stream, classify._p_powers):
+        cache.cache_clear()
 
 
-def _rows(T):
-    return max(1, classify.P_BLOCK_ENTRIES // T.row_len)
+def _key(T, budget, seed):
+    return (T.dim, budget, seed, max(1, classify.P_BLOCK_ENTRIES // T.row_len))
+
+
+def _kept():
+    """(sets, powers) held by the two caches."""
+    return (classify._p_stream.cache_info().currsize,
+            classify._p_powers.cache_info().currsize)
 
 
 @pytest.mark.parametrize("m, n, settings", P_SHAPES)
-def test_replayed_calls_match_the_first_and_the_reference(m, n, settings, fresh_streams):
+def test_replayed_calls_match_the_first_and_the_reference(m, n, settings, fresh_caches):
     members = _p_members(m, n, settings, 60, 3)
     first = [_bits(falsify_p(T, budget=10_000, seed=4)) for T in members]
-    assert fresh_streams.cache_info().currsize == 1
+    assert _kept()[0] == classify._p_stream.cache_info().misses == 1  # one draw
     again = [_bits(falsify_p(T, budget=10_000, seed=4)) for T in members]
-    assert fresh_streams.cache_info().hits == len(members) * 2 - 1
+    assert classify._p_stream.cache_info().misses == 1
     assert again == first
     assert first == [_bits(reference_falsify_p(T, 10_000, 4)) for T in members]
 
 
-def test_interleaved_keys_do_not_disturb_each_other(fresh_streams):
+def test_interleaved_keys_do_not_disturb_each_other(fresh_caches):
     calls = [(T, budget, seed)
              for m, n, settings in P_SHAPES
              for T in _p_members(m, n, settings, 70, 1)
@@ -247,36 +258,31 @@ def test_interleaved_keys_do_not_disturb_each_other(fresh_streams):
     for order in (calls, calls[::-1], calls[::2] + calls[1::2]):
         got = {id(c): _bits(falsify_p(c[0], budget=c[1], seed=c[2])) for c in order}
         assert [got[id(c)] for c in calls] == refs
-    assert fresh_streams.cache_info().currsize == len({
-        (T.dim, budget, seed, _rows(T)) for T, budget, seed in calls})
+    assert _kept()[0] == len({_key(*c) for c in calls})
 
 
-def test_cached_blocks_are_read_only(fresh_streams):
+def test_cached_blocks_are_read_only(fresh_caches):
     T = diagonal_tensor(4, 2, 6.0)
     assert not falsify_p(T, budget=10_000, seed=2).falsified
-    stream = fresh_streams(2, 10_000, 2, _rows(T))
-    assert len(stream.blocks) == 4  # basis, signs, two sample blocks
-    for X in stream.blocks:
+    blocks = classify._p_stream(*_key(T, 10_000, 2))
+    assert classify._p_stream.cache_info().misses == 1  # the kept set
+    assert isinstance(blocks, tuple)
+    assert len(blocks) == 4  # basis, signs, two sample blocks
+    for X in blocks:
         with pytest.raises(ValueError):
             X[0, 0] = 0.0
 
 
-def test_a_budget_over_the_cap_is_not_kept(fresh_streams):
+def test_a_budget_over_the_cap_is_not_kept(fresh_caches):
     T = diagonal_tensor(4, 2, 6.0)
     over = classify.P_BLOCK_ENTRIES // 2 - 2 * 2 - 4 + 1  # one sample too many
     assert_same(T, over, seed=3)
-    assert fresh_streams.cache_info().currsize == 0
+    assert _kept() == (0, 0)
     assert_same(T, over - 1, seed=3)
-    assert fresh_streams.cache_info().currsize == 1
+    assert _kept()[0] == 1
 
 
-def test_odd_order_draws_only_the_basis_block(fresh_streams):
-    T = make_tensor(3, 2, [4.0, 0.5, 0.5, 0.25, 0.5, 0.25, 0.25, 5.0])
-    assert falsify_p(T, budget=10_000, seed=3).samples_used == 3
-    assert len(fresh_streams(2, 10_000, 3, _rows(T)).blocks) == 1
-
-
-def test_a_draw_cut_short_restarts_the_stream(monkeypatch, fresh_streams):
+def test_a_draw_cut_short_restarts_the_stream(monkeypatch, fresh_caches):
     real, starts = classify._p_blocks, []
 
     def flaky(*key):
@@ -290,20 +296,23 @@ def test_a_draw_cut_short_restarts_the_stream(monkeypatch, fresh_streams):
     T = diagonal_tensor(4, 2, 6.0)
     with pytest.raises(MemoryError):
         falsify_p(T, budget=10_000, seed=8)
+    assert _kept() == (0, 0)
     assert _bits(falsify_p(T, budget=10_000, seed=8)) == _bits(
         reference_falsify_p(T, 10_000, 8))
     assert len(starts) == 2
+    assert _kept() == (1, 1)
 
 
-def test_threads_share_one_stream(monkeypatch, fresh_streams):
-    builds = []
-    real = classify.kron_power_t
+def test_threads_share_one_stream(monkeypatch, fresh_caches):
+    """Four threads missing both caches at once get the reference results,
+    and one set and one power stay kept."""
+    real = classify._p_blocks
 
-    def counted(XT, order):
-        builds.append(order)
-        return real(XT, order)
+    def slow(*key):
+        time.sleep(0.05)  # every thread reaches the cache before it fills
+        yield from real(*key)
 
-    monkeypatch.setattr(classify, "kron_power_t", counted)
+    monkeypatch.setattr(classify, "_p_blocks", slow)
     members = _p_members(4, 2, P_SHAPES[0][2], 80, 6)
     refs = [_bits(reference_falsify_p(T, 10_000, 6)) for T in members]
     results = [None] * 4
@@ -322,42 +331,20 @@ def test_threads_share_one_stream(monkeypatch, fresh_streams):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert results == [refs] * 4
-    assert fresh_streams.cache_info().currsize == 1
-    stream = fresh_streams(2, 10_000, 6, _rows(members[0]))
-    assert sorted(stream.powers) == [(k, 4) for k in range(len(stream.blocks))]
-    assert builds == [4] * len(stream.blocks)  # one power object per block
+    assert _kept() == (1, 1)
 
 
-def test_threads_missing_the_cache_at_once_make_one_stream(monkeypatch, fresh_streams):
-    made = []
-
-    class SlowReplay(classify._Replay):
-        def __init__(self, key):
-            made.append(key)
-            time.sleep(0.05)  # every thread reaches the cache before it fills
-            super().__init__(key)
-
-    monkeypatch.setattr(classify, "_Replay", SlowReplay)
-    T = diagonal_tensor(4, 2, 6.0)
-    threads = [threading.Thread(target=falsify_p, args=(T, 10_000, 5)) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    assert made == [(2, 10_000, 5, _rows(T))]
+# --------------------------------------------------------- kept Kronecker powers
 
 
-# ----------------------------------------------------- replayed Kronecker powers
-
-
-def test_kept_powers_are_read_only(fresh_streams):
+def test_kept_powers_are_read_only(fresh_caches):
     T = diagonal_tensor(4, 2, 6.0)
     assert not falsify_p(T, budget=10_000, seed=2).falsified
-    stream = fresh_streams(2, 10_000, 2, _rows(T))
-    assert sorted(stream.powers) == [(k, 4) for k in range(4)]
-    for k, X in enumerate(stream.blocks):
-        XT, power = stream.powers[k, 4]
+    key = _key(T, 10_000, 2)
+    blocks, powers = classify._p_stream(*key), classify._p_powers(key, 4)
+    assert classify._p_powers.cache_info()[:2] == (1, 1)  # the kept powers
+    assert len(powers) == len(blocks) == 4
+    for X, (XT, power) in zip(blocks, powers):
         assert XT.flags.c_contiguous and XT.tobytes() == X.T.copy().tobytes()
         assert power.shape == (T.row_len, len(X))
         for arr in (XT, power):
@@ -372,19 +359,19 @@ def _power_budget(T):
     return 2 * classify.P_BLOCK_ENTRIES // T.row_len - 2 * n - (1 << n)
 
 
-def test_a_power_over_the_cap_is_not_kept(fresh_streams):
+def test_a_power_over_the_cap_is_not_kept(fresh_caches):
     for k, T in enumerate(_p_members(4, 2, P_SHAPES[0][2], 90, 2)):
         at = _power_budget(T)
         assert (at + 2 * 2 + 4) * T.row_len == 2 * classify.P_BLOCK_ENTRIES
-        for budget, keeps in ((at, True), (at + 1, False)):
+        for budget, keeps in ((at, 1), (at + 1, 0)):
+            for cache in (classify._p_stream, classify._p_powers):
+                cache.cache_clear()
             assert_same(T, budget, seed=k)
-            stream = fresh_streams(2, budget, k, _rows(T))  # candidates kept
-            assert len(stream.blocks) > 1
-            assert bool(stream.powers) is keeps
+            assert _kept() == (1, keeps)  # the candidates are kept either way
             assert_same(T, budget, seed=k)
 
 
-def test_a_power_build_cut_short_keeps_nothing(monkeypatch, fresh_streams):
+def test_a_power_build_cut_short_keeps_nothing(monkeypatch, fresh_caches):
     real = classify.kron_power_t
 
     def failing(XT, order):
@@ -395,9 +382,34 @@ def test_a_power_build_cut_short_keeps_nothing(monkeypatch, fresh_streams):
     monkeypatch.setattr(classify, "kron_power_t", failing)
     with pytest.raises(MemoryError):
         falsify_p(T, budget=10_000, seed=8)
-    stream = fresh_streams(2, 10_000, 8, _rows(T))
-    assert stream.powers == {} and len(stream.blocks) == 1
+    assert _kept() == (1, 0)  # the whole set, drawn before the build
     monkeypatch.setattr(classify, "kron_power_t", real)
     assert _bits(falsify_p(T, budget=10_000, seed=8)) == _bits(
         reference_falsify_p(T, 10_000, 8))
-    assert len(stream.powers) == len(stream.blocks) == 4
+    assert _kept() == (1, 1)
+
+
+# ------------------------------------------------------------- negative seeds
+
+
+@pytest.mark.parametrize("m", (3, 4))
+def test_a_negative_seed_is_refused_before_any_draw(monkeypatch, fresh_caches, m):
+    """Refused at either order, although -e_1 refutes the odd one first."""
+    def no_draw(*key):
+        raise AssertionError("drew candidates")
+
+    monkeypatch.setattr(classify, "_p_blocks", no_draw)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        falsify_p(diagonal_tensor(m, 2, 1.0), 10, -1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        falsify_p(diagonal_tensor(m, 2, 1.0), 10, np.int64(-3))
+    assert _kept() == (0, 0)
+
+
+@pytest.mark.parametrize("m", (3, 4))
+def test_the_cli_refuses_a_negative_seed(tmp_path, capsys, m):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(tensor_to_json(diagonal_tensor(m, 2, 1.0))))
+    assert main(["check", "--class", "p-falsify", str(path), "--seed", "-1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --seed must be >= 0\n"
